@@ -49,6 +49,5 @@ from .quadfield import (
     is_elliptic_trace,
     order_from_trace,
 )
-from .rationals import Rational
 
 __version__ = "0.1.0"

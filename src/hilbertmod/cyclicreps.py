@@ -13,8 +13,8 @@ multiplier subgroup of (Z/n)*.  Over Q_p the Galois group of Q_p(zeta_n)
 decomposes as (full units mod p^a) x <p mod m> for n = p^a * m with p not
 dividing m: the first factor is the totally ramified part, the second the
 unramified part generated by Frobenius.  Over F_p only the p-regular part
-n' of n survives and the multiplier subgroup is <p mod n'> (cyclotomic
-cosets).  Both are computed by explicit orbit enumeration; the test suite
+n' of n survives and the multiplier subgroup is <p mod n'> (its orbits
+are the p-cosets of Z/n').  Both are computed by explicit orbit enumeration; the test suite
 re-derives them through an independent divisor-sum formula.
 """
 
@@ -153,7 +153,7 @@ def rp_count(n: int, p: int) -> int:
     """Number of irreducible F_p-representations of Z_n.
 
     Only the prime-to-p part n' of n matters; the count is the number of
-    cyclotomic cosets of Z/n' under multiplication by p.
+    p-cosets, the orbits of Z/n' under multiplication by p.
     """
     _require_order(n)
     _require_prime(p)

@@ -164,11 +164,6 @@ class CoeffToken:
     kind: TokenKind
     order: int | None = None
 
-    def describe(self) -> str:
-        if self.order is None:
-            return self.kind.value
-        return self.kind.value.replace("M", f"Z_{self.order}")
-
 
 @dataclass
 class E1Page:

@@ -4,40 +4,34 @@ An element of PSL2 of the ring of integers O_k fixes a point of the product
 of upper half planes exactly when it is elliptic in both real embeddings,
 i.e. when its trace t satisfies sigma_i(t)^2 - 4 < 0 for i = 1, 2.  Such a
 trace is an algebraic integer of the field, which makes the set of possible
-traces finite and exactly enumerable:
+traces finite and tiny, and the census runs in plain integer arithmetic:
 
-* writing t = u + v*omega on the integral basis (1, omega), the difference
-  of the two embeddings of t is v*(omega - omega'), so
-  (sigma1(t) - sigma2(t))^2 < 16 bounds the omega coefficient v
-  (v^2*d < 4 when omega = sqrt(d), v^2*d < 16 when omega = (1+sqrt(d))/2);
-* the sum of the embeddings is the rational trace 2a, and
-  |sigma1(t) + sigma2(t)| < 4 then bounds the rational coordinate u.
-
-Both bounds are evaluated with integer arithmetic only (loop limits come
-from exact inequalities such as v^2*d < 4, never from a floating square
-root), and every candidate in the resulting finite box is filtered through
-the exact ellipticity test.
+* write t = (x + y*sqrt(d))/2 with integers x, y.  Then t is an algebraic
+  integer exactly when its trace x and its norm (x^2 - y^2*d)/4 are
+  integers, i.e. when 4 divides x^2 - y^2*d (x = y mod 2 when d = 1 mod 4,
+  x and y both even otherwise);
+* both embeddings (x +- y*sqrt(d))/2 lie in (-2, 2) exactly when
+  |x| < 4 and y^2*d < (4 - |x|)^2, so |y| <= 2 since d >= 2.
 
 The trace t of an elliptic element of finite PSL2 order n equals
-2*cos(j*pi/n) for some j coprime to n.  These values are recognised by
-comparing the minimal polynomial of t with the minimal polynomials of
-2*cos(2*pi/m), which are generated from cyclotomic polynomials at import
-time (fold the palindromic Phi_m via x = z + 1/z), so the search bound on
-n is configurable rather than baked in.
+2*cos(j*pi/n) for some j coprime to n.  By Kronecker's theorem every
+elliptic trace is such a value, and a quadratic one has
+2*cos(2*pi/m) of degree at most 2, i.e. phi(m) <= 4, which leaves only
+the orders 2 to 6.  The order is therefore read from a seven-entry table
+keyed by the minimal polynomial data (x, x^2 - y^2*d) of t, that is
+(trace(t), 4*norm(t)).
 
 Exact comparison of a + b*sqrt(d) with 0 is done by sign analysis and a
 single squaring step in :meth:`QuadElem.sign`; that method is the one
 place in the package where an irrational quantity is compared with a
 rational one.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "OmegaKind",
@@ -52,16 +46,11 @@ __all__ = [
     "elliptic_trace_candidates",
     "order_from_trace",
     "allowed_orders",
-    "cos_angle_minpoly",
-    "trace_minpoly",
-    "DEFAULT_MAX_ORDER",
 ]
-
-DEFAULT_MAX_ORDER = 30
 
 
 class NotFiniteOrderError(Exception):
-    """An elliptic trace that is not 2*cos(j*pi/n) for any n up to the bound."""
+    """An elliptic trace missing from the order table (excluded by Kronecker)."""
 
 
 class OmegaKind(Enum):
@@ -271,105 +260,35 @@ def is_elliptic_trace(t: QuadElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Minimal polynomials of 2*cos(2*pi/m), generated from cyclotomic polynomials
-# ---------------------------------------------------------------------------
-# Polynomials are tuples of coefficients in ascending degree.
-
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
-    return out
-
-
-def _poly_divexact(f, g):
-    """Exact quotient of integer polynomials; remainder must vanish."""
-    f = list(f)
-    q = [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        coef = f[k + len(g) - 1]
-        assert coef % g[-1] == 0, "division is not exact"
-        q[k] = coef // g[-1]
-        for j, gj in enumerate(g):
-            f[k + j] -= q[k] * gj
-    assert not any(f), "division left a remainder"
-    return q
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(m: int) -> tuple:
-    """The m-th cyclotomic polynomial over Z, ascending coefficients."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for e in range(1, m):
-        if m % e == 0:
-            poly = _poly_divexact(poly, cyclotomic(e))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def cos_angle_minpoly(m: int) -> tuple:
-    """Minimal polynomial of 2*cos(2*pi/m) over Q, monic with integer
-    coefficients in ascending degree.
-
-    For m >= 3, Phi_m is palindromic of even degree 2k and
-    Phi_m(z) / z^k = psi(z + 1/z) for a monic integer psi of degree k;
-    psi is recovered with the recursion q_0 = 2, q_1 = x,
-    q_j = x*q_{j-1} - q_{j-2} for z^j + z^{-j}.
-    """
-    if m == 1:
-        return (-2, 1)  # x - 2
-    if m == 2:
-        return (2, 1)   # x + 2
-    c = cyclotomic(m)
-    k = (len(c) - 1) // 2
-    acc = [c[k]]
-    q_prev, q_cur = [2], [0, 1]
-    for j in range(1, k + 1):
-        term = [c[k + j] * t for t in q_cur]
-        if len(acc) < len(term):
-            acc += [0] * (len(term) - len(acc))
-        for idx, t in enumerate(term):
-            acc[idx] += t
-        shifted = [0] + q_cur  # x * q_j
-        nxt = [s - (q_prev[idx] if idx < len(q_prev) else 0) for idx, s in enumerate(shifted)]
-        q_prev, q_cur = q_cur, nxt
-    return tuple(acc)
-
-
-def trace_minpoly(t: QuadElem) -> tuple:
-    """Monic minimal polynomial of t over Q, ascending coefficients."""
-    if t.b == 0:
-        return (-t.a, Fraction(1))
-    return (t.norm(), -t.trace(), Fraction(1))
-
-
-# ---------------------------------------------------------------------------
 # Elliptic trace census
 # ---------------------------------------------------------------------------
 
-def order_from_trace(t: QuadElem, max_order: int = DEFAULT_MAX_ORDER) -> int:
+# PSL2 order of the elliptic trace t = (x + y*sqrt(d))/2, keyed by its
+# minimal polynomial data (x, x^2 - y^2*d) = (trace(t), 4*norm(t)).
+_PSL_ORDER = {
+    (0, 0): 2,                  # 0 = 2cos(pi/2)
+    (-2, 4): 3, (2, 4): 3,      # -1, 1 = 2cos(2pi/3), 2cos(pi/3)
+    (0, -8): 4,                 # +-sqrt(2) = 2cos(pi/4), 2cos(3pi/4)
+    (-1, -4): 5, (1, -4): 5,    # (+-1 +- sqrt(5))/2 = 2cos(j*pi/5)
+    (0, -12): 6,                # +-sqrt(3) = 2cos(pi/6), 2cos(5pi/6)
+}
+
+
+def order_from_trace(t: QuadElem) -> int:
     """Order in PSL2 of an elliptic element with trace t.
 
-    The element has order n exactly when t = 2*cos(j*pi/n) with gcd(j, n)=1.
-    For odd j this means t is a root of the minimal polynomial of
-    2*cos(2*pi/2n); for even j (possible only when n is odd) a root of the
-    one for 2*cos(2*pi/n).  Raises :class:`NotFiniteOrderError` when no
-    n <= max_order matches, and ValueError when t is not an elliptic
-    algebraic-integer trace.
+    The element has order n exactly when t = 2*cos(j*pi/n) with
+    gcd(j, n) = 1; the module docstring explains why the seven minimal
+    polynomials in the order table are all that can occur.  Raises
+    :class:`NotFiniteOrderError` for a trace missing from the table, and
+    ValueError when t is not an elliptic algebraic-integer trace.
     """
     if not is_elliptic_trace(t):
         raise ValueError(f"{t} is not an elliptic trace")
-    p = trace_minpoly(t)
-    for n in range(2, max_order + 1):
-        if p == cos_angle_minpoly(2 * n):
-            return n
-        if n % 2 == 1 and p == cos_angle_minpoly(n):
-            return n
-    raise NotFiniteOrderError(f"{t} matches no 2*cos(j*pi/n) with n <= {max_order}")
+    try:
+        return _PSL_ORDER[(t.trace(), 4 * t.norm())]
+    except KeyError:
+        raise NotFiniteOrderError(f"{t} is not 2*cos(j*pi/n) for any n") from None
 
 
 @dataclass(frozen=True)
@@ -386,53 +305,32 @@ class TraceCandidate:
             raise ValueError("PSL2 order of an elliptic element is at least 2")
 
 
-def elliptic_trace_candidates(
-    field: FieldSpec, max_order: int = DEFAULT_MAX_ORDER
-) -> tuple[TraceCandidate, ...]:
+def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
     """The complete finite set of elliptic algebraic-integer traces.
 
-    Enumerates t = u + v*omega over the exact integer box described in the
-    module docstring, keeps those with both embeddings strictly inside
-    (-2, 2), and pairs each with its order.  Every elliptic trace in a real
-    quadratic field is a 2*cos(j*pi/n) value; if one ever were not,
-    :func:`order_from_trace` would raise rather than silently drop it.
-    Candidates are returned sorted by (a, b).
+    Scans t = (x + y*sqrt(d))/2 over |x| < 4, |y| <= 2, keeps the algebraic
+    integers with both embeddings strictly inside (-2, 2) by the integer
+    tests of the module docstring, and pairs each with its order.  Every
+    elliptic trace in a real quadratic field is a 2*cos(j*pi/n) value; if
+    one ever were not, :func:`order_from_trace` would raise rather than
+    silently drop it.  Candidates are returned sorted by (a, b), which is
+    the (x, y) order of the scan.
     """
     d = field.d
     found = []
-    if field.omega_kind is OmegaKind.SQRT_D:
-        # (sigma1 - sigma2)^2 = 4*v^2*d < 16 and |2u| < 4.
-        vmax = 0
-        while (vmax + 1) ** 2 * d < 4:
-            vmax += 1
-        u_range = range(-1, 2)
-        v_range = range(-vmax, vmax + 1)
-        box = ((u, v) for v in v_range for u in u_range)
-    else:
-        # t = (2u+v)/2 + (v/2)*sqrt(d): v^2*d < 16 and -4 < 2u+v < 4.
-        vmax = 0
-        while (vmax + 1) ** 2 * d < 16:
-            vmax += 1
-        def half_box():
-            for v in range(-vmax, vmax + 1):
-                u_min = (-4 - v) // 2 + 1
-                u_max = -((v - 4) // 2) - 1
-                for u in range(u_min, u_max + 1):
-                    yield (u, v)
-        box = half_box()
-    for u, v in box:
-        t = field.from_basis(u, v)
-        if is_elliptic_trace(t):
-            found.append(TraceCandidate(t, order_from_trace(t, max_order)))
-    found.sort(key=lambda c: (c.trace.a, c.trace.b))
+    for x in range(-3, 4):
+        for y in range(-2, 3):
+            if (x * x - y * y * d) % 4 == 0 and y * y * d < (4 - abs(x)) ** 2:
+                t = field.element(Fraction(x, 2), Fraction(y, 2))
+                found.append(TraceCandidate(t, order_from_trace(t)))
     return tuple(found)
 
 
-def allowed_orders(field: FieldSpec, max_order: int = DEFAULT_MAX_ORDER) -> tuple[int, ...]:
+def allowed_orders(field: FieldSpec) -> tuple[int, ...]:
     """Sorted set of finite element orders occurring in PSL2 of O_k.
 
     Always contains 2 and 3 (traces 0 and +-1 are elliptic integers in
     every real quadratic field); for quadratic fields the result is a
     subset of {2, 3, 4, 5, 6}.
     """
-    return tuple(sorted({c.psl_order for c in elliptic_trace_candidates(field, max_order)}))
+    return tuple(sorted({c.psl_order for c in elliptic_trace_candidates(field)}))

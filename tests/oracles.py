@@ -3,13 +3,16 @@
 Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
 divisor sums instead of orbit walks, form reduction instead of reduced-form
-enumeration, and consecutive-pair chain checks instead of pairwise
-comparability.  The implementations under test must agree with these.
+enumeration, consecutive-pair chain checks instead of pairwise
+comparability, and cyclotomic minimal polynomials instead of the order
+table of the trace census.  The implementations under test must agree with these.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -186,3 +189,87 @@ def class_number_by_reduction(D: int, coeff_bound: int | None = None) -> tuple[i
                 continue
             reduced.add(reduce_form(a, b, c))
     return len(reduced), reduced
+
+
+# ---------------------------------------------------------------------------
+# Orders of elliptic traces via minimal polynomials of 2*cos(2*pi/m)
+# ---------------------------------------------------------------------------
+# Polynomials are tuples of coefficients in ascending degree.
+
+def _poly_divexact(f, g):
+    """Exact quotient of integer polynomials; remainder must vanish."""
+    f = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        coef = f[k + len(g) - 1]
+        assert coef % g[-1] == 0, "division is not exact"
+        q[k] = coef // g[-1]
+        for j, gj in enumerate(g):
+            f[k + j] -= q[k] * gj
+    assert not any(f), "division left a remainder"
+    return q
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple:
+    """The m-th cyclotomic polynomial over Z, ascending coefficients."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
+    for e in range(1, m):
+        if m % e == 0:
+            poly = _poly_divexact(poly, cyclotomic(e))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def cos_angle_minpoly(m: int) -> tuple:
+    """Minimal polynomial of 2*cos(2*pi/m) over Q, monic with integer
+    coefficients in ascending degree.
+
+    For m >= 3, Phi_m is palindromic of even degree 2k and
+    Phi_m(z) / z^k = psi(z + 1/z) for a monic integer psi of degree k;
+    psi is recovered with the recursion q_0 = 2, q_1 = x,
+    q_j = x*q_{j-1} - q_{j-2} for z^j + z^{-j}.
+    """
+    if m == 1:
+        return (-2, 1)  # x - 2
+    if m == 2:
+        return (2, 1)   # x + 2
+    c = cyclotomic(m)
+    k = (len(c) - 1) // 2
+    acc = [c[k]]
+    q_prev, q_cur = [2], [0, 1]
+    for j in range(1, k + 1):
+        term = [c[k + j] * t for t in q_cur]
+        if len(acc) < len(term):
+            acc += [0] * (len(term) - len(acc))
+        for idx, t in enumerate(term):
+            acc[idx] += t
+        shifted = [0] + q_cur  # x * q_j
+        nxt = [s - (q_prev[idx] if idx < len(q_prev) else 0) for idx, s in enumerate(shifted)]
+        q_prev, q_cur = q_cur, nxt
+    return tuple(acc)
+
+
+def trace_minpoly(t) -> tuple:
+    """Monic minimal polynomial of t over Q, ascending coefficients."""
+    if t.b == 0:
+        return (-t.a, Fraction(1))
+    return (t.norm(), -t.trace(), Fraction(1))
+
+
+def order_by_minpoly(t, max_order: int = 30) -> int:
+    """PSL2 order n of an elliptic trace t, searched over n <= max_order.
+
+    t = 2*cos(j*pi/n) with gcd(j, n) = 1 is a root of the minimal
+    polynomial of 2*cos(2*pi/2n) for odd j, and of the one for
+    2*cos(2*pi/n) for even j (possible only when n is odd).
+    """
+    p = trace_minpoly(t)
+    for n in range(2, max_order + 1):
+        if p == cos_angle_minpoly(2 * n):
+            return n
+        if n % 2 == 1 and p == cos_angle_minpoly(n):
+            return n
+    raise ValueError(f"{t} matches no 2*cos(j*pi/n) with n <= {max_order}")

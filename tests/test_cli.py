@@ -60,6 +60,186 @@ def test_field_rejects_non_square_free(capsys):
 
 
 # ---------------------------------------------------------------------------
+# field goldens: stdout bytes pinned for a fixed list of d
+# ---------------------------------------------------------------------------
+# --json bytes are pinned as compact JSON; the expected stdout is its
+# canonical form (sorted keys, two-space indent) plus print's newline.
+# --approx bytes are pinned verbatim.
+
+FIELD_JSON_GOLDEN = {
+    2: (
+        '{"command":"field","inputs":{"approx":false,"d":2}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3,4]'
+        ',"d":2,"integral_basis":["1","sqrt(2)"],"omega":"sqrt(2)"'
+        ',"trace_candidates":[{"psl_order":3,"trace":"-1"},{"psl_order":4'
+        ',"trace":"-sqrt(2)"},{"psl_order":2,"trace":"0"},{"psl_order":4'
+        ',"trace":"sqrt(2)"},{"psl_order":3,"trace":"1"}]}'
+        ',"schema_version":"1"}'
+    ),
+    3: (
+        '{"command":"field","inputs":{"approx":false,"d":3}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3,6]'
+        ',"d":3,"integral_basis":["1","sqrt(3)"],"omega":"sqrt(3)"'
+        ',"trace_candidates":[{"psl_order":3,"trace":"-1"},{"psl_order":6'
+        ',"trace":"-sqrt(3)"},{"psl_order":2,"trace":"0"},{"psl_order":6'
+        ',"trace":"sqrt(3)"},{"psl_order":3,"trace":"1"}]}'
+        ',"schema_version":"1"}'
+    ),
+    5: (
+        '{"command":"field","inputs":{"approx":false,"d":5}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3,5]'
+        ',"d":5,"integral_basis":["1","(1+sqrt(5))/2"]'
+        ',"omega":"(1+sqrt(5))/2","trace_candidates":[{"psl_order":3'
+        ',"trace":"-1"},{"psl_order":5,"trace":"-1/2 - 1/2*sqrt(5)"}'
+        ',{"psl_order":5,"trace":"-1/2 + 1/2*sqrt(5)"},{"psl_order":2'
+        ',"trace":"0"},{"psl_order":5,"trace":"1/2 - 1/2*sqrt(5)"}'
+        ',{"psl_order":5,"trace":"1/2 + 1/2*sqrt(5)"},{"psl_order":3'
+        ',"trace":"1"}]},"schema_version":"1"}'
+    ),
+    6: (
+        '{"command":"field","inputs":{"approx":false,"d":6}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3]'
+        ',"d":6,"integral_basis":["1","sqrt(6)"],"omega":"sqrt(6)"'
+        ',"trace_candidates":[{"psl_order":3,"trace":"-1"},{"psl_order":2'
+        ',"trace":"0"},{"psl_order":3,"trace":"1"}]},"schema_version":"1"}'
+    ),
+    7: (
+        '{"command":"field","inputs":{"approx":false,"d":7}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3]'
+        ',"d":7,"integral_basis":["1","sqrt(7)"],"omega":"sqrt(7)"'
+        ',"trace_candidates":[{"psl_order":3,"trace":"-1"},{"psl_order":2'
+        ',"trace":"0"},{"psl_order":3,"trace":"1"}]},"schema_version":"1"}'
+    ),
+    13: (
+        '{"command":"field","inputs":{"approx":false,"d":13}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3]'
+        ',"d":13,"integral_basis":["1","(1+sqrt(13))/2"]'
+        ',"omega":"(1+sqrt(13))/2","trace_candidates":[{"psl_order":3'
+        ',"trace":"-1"},{"psl_order":2,"trace":"0"},{"psl_order":3'
+        ',"trace":"1"}]},"schema_version":"1"}'
+    ),
+    17: (
+        '{"command":"field","inputs":{"approx":false,"d":17}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3]'
+        ',"d":17,"integral_basis":["1","(1+sqrt(17))/2"]'
+        ',"omega":"(1+sqrt(17))/2","trace_candidates":[{"psl_order":3'
+        ',"trace":"-1"},{"psl_order":2,"trace":"0"},{"psl_order":3'
+        ',"trace":"1"}]},"schema_version":"1"}'
+    ),
+    10007: (
+        '{"command":"field","inputs":{"approx":false,"d":10007}'
+        ',"provenance":{"allowed_orders":"computed"'
+        ',"trace_candidates":"computed"},"result":{"allowed_orders":[2,3]'
+        ',"d":10007,"integral_basis":["1","sqrt(10007)"]'
+        ',"omega":"sqrt(10007)","trace_candidates":[{"psl_order":3'
+        ',"trace":"-1"},{"psl_order":2,"trace":"0"},{"psl_order":3'
+        ',"trace":"1"}]},"schema_version":"1"}'
+    ),
+}
+
+FIELD_APPROX_GOLDEN = {
+    2: """\
+field Q(sqrt(2))
+integral basis: 1, sqrt(2)
+trace candidates (5):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  -sqrt(2)  order 4  ~ (-1.414214, 1.414214)
+  0  order 2  ~ (0.000000, 0.000000)
+  sqrt(2)  order 4  ~ (1.414214, -1.414214)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3, 4
+""",
+    3: """\
+field Q(sqrt(3))
+integral basis: 1, sqrt(3)
+trace candidates (5):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  -sqrt(3)  order 6  ~ (-1.732051, 1.732051)
+  0  order 2  ~ (0.000000, 0.000000)
+  sqrt(3)  order 6  ~ (1.732051, -1.732051)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3, 6
+""",
+    5: """\
+field Q(sqrt(5))
+integral basis: 1, (1+sqrt(5))/2
+trace candidates (7):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  -1/2 - 1/2*sqrt(5)  order 5  ~ (-1.618034, 0.618034)
+  -1/2 + 1/2*sqrt(5)  order 5  ~ (0.618034, -1.618034)
+  0  order 2  ~ (0.000000, 0.000000)
+  1/2 - 1/2*sqrt(5)  order 5  ~ (-0.618034, 1.618034)
+  1/2 + 1/2*sqrt(5)  order 5  ~ (1.618034, -0.618034)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3, 5
+""",
+    6: """\
+field Q(sqrt(6))
+integral basis: 1, sqrt(6)
+trace candidates (3):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  0  order 2  ~ (0.000000, 0.000000)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3
+""",
+    7: """\
+field Q(sqrt(7))
+integral basis: 1, sqrt(7)
+trace candidates (3):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  0  order 2  ~ (0.000000, 0.000000)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3
+""",
+    13: """\
+field Q(sqrt(13))
+integral basis: 1, (1+sqrt(13))/2
+trace candidates (3):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  0  order 2  ~ (0.000000, 0.000000)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3
+""",
+    17: """\
+field Q(sqrt(17))
+integral basis: 1, (1+sqrt(17))/2
+trace candidates (3):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  0  order 2  ~ (0.000000, 0.000000)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3
+""",
+    10007: """\
+field Q(sqrt(10007))
+integral basis: 1, sqrt(10007)
+trace candidates (3):
+  -1  order 3  ~ (-1.000000, -1.000000)
+  0  order 2  ~ (0.000000, 0.000000)
+  1  order 3  ~ (1.000000, 1.000000)
+allowed orders: 2, 3
+""",
+}
+
+
+def test_field_golden_bytes(capsys):
+    for d, compact in FIELD_JSON_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "field", str(d), "--json")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n", d
+    for d, text in FIELD_APPROX_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "field", str(d), "--approx")
+        assert code == EXIT_OK
+        assert out == text, d
+
+
+# ---------------------------------------------------------------------------
 # ranks
 # ---------------------------------------------------------------------------
 

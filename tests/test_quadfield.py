@@ -7,21 +7,19 @@ from fractions import Fraction
 import pytest
 
 from hilbertmod.quadfield import (
-    DEFAULT_MAX_ORDER,
     FieldSpec,
     OmegaKind,
     TraceCandidate,
     allowed_orders,
-    cos_angle_minpoly,
-    cyclotomic,
     elliptic_trace_candidates,
     embed,
     is_algebraic_integer,
     is_elliptic_trace,
     is_square_free,
     order_from_trace,
-    trace_minpoly,
 )
+
+from oracles import cos_angle_minpoly, cyclotomic, order_by_minpoly, trace_minpoly
 
 SQUARE_FREE_D = [d for d in range(2, 60) if is_square_free(d)]
 
@@ -139,7 +137,7 @@ def test_elliptic_trace_rejects_non_integers():
 
 
 # ---------------------------------------------------------------------------
-# Minimal polynomials of 2cos(2pi/m)
+# Minimal polynomials of 2cos(2pi/m) (the oracle for the order table)
 # ---------------------------------------------------------------------------
 
 def test_cyclotomic_polynomials():
@@ -170,7 +168,7 @@ def test_cos_minimal_polynomials_known_values():
 
 
 def test_cos_minimal_polynomials_numeric_root():
-    for m in range(3, 2 * DEFAULT_MAX_ORDER + 1):
+    for m in range(3, 61):
         poly = cos_angle_minpoly(m)
         x = 2 * math.cos(2 * math.pi / m)
         value = sum(c * x**i for i, c in enumerate(poly))
@@ -197,6 +195,14 @@ def test_order_from_trace_examples():
 def test_order_from_trace_rejects_non_elliptic():
     with pytest.raises(ValueError):
         order_from_trace(FieldSpec(5).element(3))
+
+
+def test_order_table_agrees_with_minpoly_oracle():
+    for d in range(2, 200):
+        if not is_square_free(d):
+            continue
+        for c in elliptic_trace_candidates(FieldSpec(d)):
+            assert order_from_trace(c.trace) == order_by_minpoly(c.trace), (d, c.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +242,7 @@ def test_census_golden_d2_d3_d7():
 
 def test_census_complete_against_wide_box_scan():
     # The production loop bounds must not miss anything a wide scan finds.
-    for d in SQUARE_FREE_D:
+    for d in SQUARE_FREE_D + [10007, 999983]:
         f = FieldSpec(d)
         brute = set()
         for u in range(-10, 11):
