@@ -9,19 +9,29 @@ The five counts are
 * ``rp_count(n, p)``: irreducibles over the prime field F_p.
 
 The local counts are orbit counts of the character indices Z/n under a
-multiplier subgroup of (Z/n)*.  Over Q_p the Galois group of Q_p(zeta_n)
-decomposes as (full units mod p^a) x <p mod m> for n = p^a * m with p not
-dividing m: the first factor is the totally ramified part, the second the
-unramified part generated by Frobenius.  Over F_p only the p-regular part
-n' of n survives and the multiplier subgroup is <p mod n'> (its orbits
-are the p-cosets of Z/n').  Both are computed by explicit orbit enumeration; the test suite
-re-derives them through an independent divisor-sum formula.
+multiplier subgroup of (Z/n)*, and both have closed forms.  Write
+n = p^a * m with p not dividing m.  Over F_p only m survives and the
+multiplier group is <p mod m>, whose orbits are the p-cosets of Z/m.  The
+indices j with m / gcd(j, m) = e are the phi(e) units of Z/e scaled by
+m/e, and <p> permutes them freely in orbits of size ord_e(p), so
+
+    r_p = sum over e | m of phi(e) / ord_e(p).
+
+Over Q_p the Galois group of Q_p(zeta_n) is (units mod p^a) x <p mod m>,
+the totally ramified part times the unramified part generated by
+Frobenius.  Its orbits on Z/p^a x Z/m are the a+1 p-adic valuation levels
+times the p-cosets of Z/m, so
+
+    k_p = (a+1) * r_p.
+
+The test suite re-derives both counts by walking the orbits of an
+explicitly built multiplier group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import prod
 
 __all__ = [
     "RepCounts",
@@ -31,7 +41,8 @@ __all__ = [
     "kp_count",
     "rp_count",
     "rep_counts",
-    "local_galois_subgroup",
+    "factorize",
+    "prime_powers",
     "prime_divisors",
     "is_prime",
 ]
@@ -42,14 +53,34 @@ def _require_order(n: int) -> None:
         raise ValueError(f"group order must be >= 1, got {n}")
 
 
+def prime_powers(n: int):
+    """Yield (p, a) for each prime power p^a exactly dividing n, ascending p.
+
+    Trial division, lazily: a caller that stops early (a square-free test
+    meeting its first square) skips the rest of the search.  Every n < 2
+    yields nothing.
+    """
+    f = 2
+    while f * f <= n:
+        a = 0
+        while n % f == 0:
+            n //= f
+            a += 1
+        if a:
+            yield f, a
+        f += 1
+    if n > 1:
+        yield n, 1
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: a} of n, ascending p."""
+    return dict(prime_powers(n))
+
+
 def is_prime(p: int) -> bool:
     """Primality by trial division; inputs here are tiny."""
-    if p < 2:
-        return False
-    for f in range(2, isqrt(p) + 1):
-        if p % f == 0:
-            return False
-    return True
+    return factorize(p) == {p: 1}
 
 
 def _require_prime(p: int) -> None:
@@ -58,27 +89,13 @@ def _require_prime(p: int) -> None:
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return tuple(factorize(n))
 
 
 def q_count(n: int) -> int:
     """Number of rational irreducibles of Z_n: the number of divisors of n."""
     _require_order(n)
-    count = 0
-    for k in range(1, isqrt(n) + 1):
-        if n % k == 0:
-            count += 1 if k * k == n else 2
-    return count
+    return prod(a + 1 for a in factorize(n).values())
 
 
 def r_count(n: int) -> int:
@@ -101,66 +118,39 @@ def c_count(n: int) -> int:
     return (n - 1) // 2 if n % 2 else (n - 2) // 2
 
 
-def _power_closure(g: int, modulus: int) -> frozenset:
-    """The cyclic subgroup <g> of Z/modulus under multiplication."""
-    g %= modulus
-    seen = {g}
-    cur = g
-    while True:
-        cur = cur * g % modulus
-        if cur in seen:
-            return frozenset(seen)
-        seen.add(cur)
-
-
-def local_galois_subgroup(n: int, p: int) -> frozenset:
-    """The multiplier subgroup of (Z/n)* acting on Q_p-character orbits.
-
-    With n = p^a * m, p not dividing m, this is every unit t of Z/n whose
-    reduction mod m lies in <p>; the reduction mod p^a is unrestricted.
-    """
-    _require_order(n)
-    _require_prime(p)
-    m = n
-    while m % p == 0:
-        m //= p
-    frobenius_powers = _power_closure(p, m)  # {0} when m == 1
-    return frozenset(
-        t for t in range(n) if gcd(t, n) == 1 and t % m in frobenius_powers
-    )
-
-
-def _orbit_count(n: int, multipliers) -> int:
-    """Number of orbits of Z/n under a multiplier subgroup of (Z/n)*."""
-    seen = bytearray(n)
-    count = 0
-    for x in range(n):
-        if seen[x]:
-            continue
-        count += 1
-        for h in multipliers:
-            seen[x * h % n] = 1
-    return count
+def _p_cosets(m: int, p: int) -> int:
+    """Number of p-cosets of Z/m (p prime to m): sum of phi(e)/ord_e(p) over e | m."""
+    pairs = [(1, 1)]  # (e, phi(e)) for the divisors e of m found so far
+    for q, b in factorize(m).items():
+        pairs += [(e * q**k, phi * (q - 1) * q ** (k - 1))
+                  for e, phi in pairs for k in range(1, b + 1)]
+    total = 0
+    for e, phi in pairs:
+        order, x = 1, p % e
+        while x != 1 % e:
+            x = x * p % e
+            order += 1
+        total += phi // order
+    return total
 
 
 def kp_count(n: int, p: int) -> int:
-    """Number of irreducible Q_p-representations of Z_n, by orbit enumeration."""
-    subgroup = local_galois_subgroup(n, p)
-    return _orbit_count(n, subgroup)
+    """Number of irreducible Q_p-representations of Z_n: (a+1) * r_p."""
+    _require_order(n)
+    _require_prime(p)
+    a = factorize(n).get(p, 0)
+    return (a + 1) * _p_cosets(n // p**a, p)
 
 
 def rp_count(n: int, p: int) -> int:
     """Number of irreducible F_p-representations of Z_n.
 
-    Only the prime-to-p part n' of n matters; the count is the number of
-    p-cosets, the orbits of Z/n' under multiplication by p.
+    Only the prime-to-p part m of n matters; the count is the number of
+    p-cosets of Z/m.
     """
     _require_order(n)
     _require_prime(p)
-    n_prime = n
-    while n_prime % p == 0:
-        n_prime //= p
-    return _orbit_count(n_prime, _power_closure(p, n_prime))
+    return _p_cosets(n // p ** factorize(n).get(p, 0), p)
 
 
 @dataclass(frozen=True)

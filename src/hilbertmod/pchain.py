@@ -25,7 +25,6 @@ as :attr:`E1Page.d1_rationally_injective` instead of modeling d1 itself.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,9 +111,6 @@ class OrbitPoset:
     def lt(self, a: str, b: str) -> bool:
         return self._closed[self._index[a]][self._index[b]]
 
-    def comparable(self, a: str, b: str) -> bool:
-        return self.lt(a, b) or self.lt(b, a)
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -137,17 +133,19 @@ class Chain:
 def enumerate_pchains(poset: OrbitPoset, p: int) -> list[Chain]:
     """All p-chains of the poset, in deterministic lexicographic order.
 
-    Subsets are generated lexicographically by node position; each subset
-    that is totally ordered is emitted once, sorted into increasing order.
+    Chains are grown one node at a time: each chain of length k extends by
+    every node strictly above its top, so the work follows the chains that
+    exist rather than the node subsets.  A chain is a totally ordered
+    subset, so sorting by the ascending node positions of that subset
+    lists the chains in the lexicographic order of their node sets.
     """
     if p < 0:
         raise ValueError("chain length index p must be nonnegative")
-    chains = []
-    for combo in itertools.combinations(poset.nodes, p + 1):
-        if all(poset.comparable(a, b) for a, b in itertools.combinations(combo, 2)):
-            ordered = sorted(combo, key=lambda x: sum(poset.lt(y, x) for y in combo))
-            chains.append(Chain(tuple(ordered)))
-    return chains
+    chains = [(v,) for v in poset.nodes]
+    for _ in range(p):
+        chains = [c + (v,) for c in chains for v in poset.nodes if poset.lt(c[-1], v)]
+    chains.sort(key=lambda c: sorted(poset._index[v] for v in c))
+    return [Chain(c) for c in chains]
 
 
 class TokenKind(Enum):

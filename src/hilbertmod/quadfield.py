@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .cyclicreps import prime_powers
+
 __all__ = [
     "OmegaKind",
     "FieldSpec",
@@ -62,16 +64,7 @@ class OmegaKind(Enum):
 
 def is_square_free(n: int) -> bool:
     """True if no square of a prime divides n (trial factorization)."""
-    if n < 1:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        while n % f == 0:
-            n //= f
-        f += 1
-    return True
+    return n >= 1 and all(a == 1 for _, a in prime_powers(n))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
-divisor sums instead of orbit walks, form reduction instead of reduced-form
-enumeration, consecutive-pair chain checks instead of pairwise
-comparability, and cyclotomic minimal polynomials instead of the order
+orbit walks instead of divisor sums, form reduction instead of reduced-form
+enumeration, subset scans instead of chain extension along the order
+relation, and cyclotomic minimal polynomials instead of the order
 table of the trace census.  The implementations under test must agree with these.
 """
 
@@ -104,6 +104,27 @@ def kp_formula(n: int, p: int) -> int:
         n //= p
         a += 1
     return (a + 1) * rp_formula(n, p)
+
+
+def local_galois_subgroup(n: int, p: int) -> frozenset:
+    """The multiplier subgroup of (Z/n)* acting on Q_p-character orbits.
+
+    With n = p^a * m, p not dividing m, this is every unit t of Z/n whose
+    reduction mod m lies in <p>; the reduction mod p^a is unrestricted.
+    When p does not divide n the subgroup is <p mod n> itself, whose
+    orbits are the p-cosets that count the F_p-irreducibles.
+    """
+    m = n
+    while m % p == 0:
+        m //= p
+    frobenius_powers = set()  # becomes {0} when m == 1
+    cur = p % m
+    while cur not in frobenius_powers:
+        frobenius_powers.add(cur)
+        cur = cur * p % m
+    return frozenset(
+        t for t in range(n) if gcd(t, n) == 1 and t % m in frobenius_powers
+    )
 
 
 def orbit_partition(n: int, multipliers) -> list[set]:

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and the JSON envelope."""
 
 import json
+import time
 
 from hilbertmod.cli import (
     EXIT_INVALID_INPUT,
@@ -10,6 +11,8 @@ from hilbertmod.cli import (
     canonical_json,
     main,
 )
+
+from oracles import kp_formula, rp_formula
 
 
 def run_cli(capsys, *argv):
@@ -54,9 +57,14 @@ def test_field_decimal_only_behind_approx(capsys):
 
 
 def test_field_rejects_non_square_free(capsys):
-    code, _, err = run_cli(capsys, "field", "12")
-    assert code == EXIT_INVALID_INPUT
-    assert "square-free" in err
+    # 4 * (10^18 + 3): the square-free test stops at the square 4 instead
+    # of trial-dividing the large cofactor.
+    for d in ("12", "4000000000000000012"):
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "field", d)
+        assert code == EXIT_INVALID_INPUT
+        assert "square-free" in err
+        assert time.monotonic() - start < 5.0, d
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +277,9 @@ def test_ranks_missing_class_data(capsys):
 def test_ranks_requires_some_input(capsys):
     code, _, _ = run_cli(capsys, "ranks", "--q", "1")
     assert code == EXIT_INVALID_INPUT
+    code, _, err = run_cli(capsys, "ranks", "5", "--q", "1,x")
+    assert code == EXIT_INVALID_INPUT
+    assert "bad degree list" in err
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +348,31 @@ def test_chains(capsys):
     payload = run_json(capsys, "chains", "--poset", "sl", "--m", "6", "--p", "2")
     assert payload["result"]["count"] == 6
     assert all(len(chain) == 3 for chain in payload["result"]["chains"])
+    code, _, err = run_cli(capsys, "chains", "--poset", "psl", "--m", "-1", "--p", "0")
+    assert code == EXIT_INVALID_INPUT
+    assert "nonnegative" in err
+
+
+def test_reps_large_order_in_bounded_time(capsys):
+    start = time.monotonic()
+    payload = run_json(capsys, "reps", "1000000")
+    elapsed = time.monotonic() - start
+    assert payload["result"] == {
+        "n": 1000000, "r": 500001, "c": 499999, "q": 49,
+        "local": {"2": {"k_p": 49, "r_p": 7}, "5": {"k_p": 84, "r_p": 12}},
+    }
+    for p, local in payload["result"]["local"].items():
+        assert local == {"k_p": kp_formula(1000000, int(p)), "r_p": rp_formula(1000000, int(p))}
+    assert elapsed < 5.0, elapsed
+
+
+def test_chains_long_p_in_bounded_time(capsys):
+    for poset, m, p in (("psl", 40, 20), ("sl", 24, 12)):
+        start = time.monotonic()
+        payload = run_json(capsys, "chains", "--poset", poset, "--m", str(m), "--p", str(p))
+        elapsed = time.monotonic() - start
+        assert payload["result"]["count"] == 0, poset
+        assert elapsed < 5.0, (poset, elapsed)
 
 
 # ---------------------------------------------------------------------------

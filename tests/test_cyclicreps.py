@@ -4,8 +4,8 @@ import pytest
 
 from hilbertmod.cyclicreps import (
     c_count,
+    factorize,
     kp_count,
-    local_galois_subgroup,
     prime_divisors,
     q_count,
     r_count,
@@ -16,6 +16,7 @@ from hilbertmod.cyclicreps import (
 from oracles import (
     complex_type_orbits,
     kp_formula,
+    local_galois_subgroup,
     orbit_partition,
     rational_irred_orbits,
     real_irred_orbits,
@@ -36,6 +37,8 @@ def test_examples():
     assert c_count(2) == 0
     assert c_count(3) == 1
     assert c_count(5) == 2
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
 
 
 def test_local_examples():
@@ -89,12 +92,18 @@ def test_unramified_case_collapses():
 
 def test_orbit_partition_burnside():
     # The multiplier subgroup really partitions Z/n, and the partition size
-    # is what kp_count reports.
-    for n in range(1, 61):
+    # is what kp_count reports; over the p-regular part n' the subgroup is
+    # <p>, and its orbits are what rp_count reports.
+    for n in list(range(1, 61)) + [1024, 2187, 44100]:
         for p in (2, 3, 5):
             subgroup = local_galois_subgroup(n, p)
             orbits = orbit_partition(n, subgroup)
             assert len(orbits) == kp_count(n, p), (n, p)
+            n_prime = n
+            while n_prime % p == 0:
+                n_prime //= p
+            cosets = orbit_partition(n_prime, local_galois_subgroup(n_prime, p))
+            assert len(cosets) == rp_count(n, p), (n, p)
 
 
 def test_local_subgroup_is_a_subgroup():
