@@ -15,6 +15,11 @@ byte-stable under re-parsing.  Every numeric result carries a provenance
 tag: "paper-table" for values taken from the built-in published tables,
 "computed" for everything derived here.
 
+Inputs are capped so that every command answers in bounded time:
+square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and the orders
+in ``--classes``), and |D| <= 10^8 for ``classnum``.  Past a cap the
+command exits 2 and the message names the limit.
+
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error.
 """
@@ -39,7 +44,7 @@ from .assembler import (
     whitehead_sl,
 )
 from .cyclicreps import rep_counts
-from .classnumbers import class_number, reduced_forms
+from .classnumbers import reduced_forms
 from .finitek import rank_case
 from .pchain import enumerate_pchains, psl_poset, sl_poset
 from .quadfield import FieldSpec, elliptic_trace_candidates, allowed_orders, embed
@@ -224,7 +229,7 @@ def _cmd_reps(args) -> int:
 
 def _cmd_classnum(args) -> int:
     forms = reduced_forms(args.D)
-    h = class_number(args.D)
+    h = len(forms)
     lines = [
         f"h({args.D}) = {h}",
         "reduced forms: " + ", ".join(str(f) for f in forms),
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", help="elliptic trace census of Q(sqrt(d))")
-    p_field.add_argument("d", type=int, help="square-free integer >= 2")
+    p_field.add_argument("d", type=int, help="square-free integer in [2, 10^12]")
     p_field.add_argument("--approx", action="store_true",
                          help="also print decimal approximations (approximate!)")
     p_field.add_argument("--json", action="store_true")
@@ -276,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ranks = sub.add_parser("ranks", help="rank differences per degree q")
     p_ranks.add_argument("d", type=int, nargs="?", default=None)
     p_ranks.add_argument("--classes", help="order:count pairs, e.g. 2:2,3:2,5:2")
-    p_ranks.add_argument("--q", required=True, help="comma-separated degrees")
+    p_ranks.add_argument("--q", required=True,
+                         help="comma-separated degrees; write --q=-1,7 when the list "
+                              "starts with a negative degree")
     p_ranks.add_argument("--json", action="store_true")
     p_ranks.set_defaults(func=_cmd_ranks)
 

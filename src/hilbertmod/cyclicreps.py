@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from math import prod
 
 __all__ = [
+    "MAX_ORDER",
     "RepCounts",
     "q_count",
     "r_count",
@@ -48,9 +49,13 @@ __all__ = [
 ]
 
 
+# Largest group order accepted; ord_e(p) is found by a loop of up to n steps.
+MAX_ORDER = 10**7
+
+
 def _require_order(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"group order must be in [1, 10^7], got {n}")
 
 
 def prime_powers(n: int):

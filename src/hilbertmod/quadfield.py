@@ -38,6 +38,7 @@ from .cyclicreps import prime_powers
 __all__ = [
     "OmegaKind",
     "FieldSpec",
+    "MAX_D",
     "QuadElem",
     "TraceCandidate",
     "NotFiniteOrderError",
@@ -49,6 +50,10 @@ __all__ = [
     "order_from_trace",
     "allowed_orders",
 ]
+
+
+# Largest d accepted; it bounds the trial-division square-free test.
+MAX_D = 10**12
 
 
 class NotFiniteOrderError(Exception):
@@ -69,15 +74,13 @@ def is_square_free(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The real quadratic field Q(sqrt(d)) for a square-free d >= 2."""
+    """The real quadratic field Q(sqrt(d)) for a square-free d in [2, MAX_D]."""
 
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
-        if not is_square_free(self.d):
-            raise ValueError(f"d must be square-free, got {self.d}")
+        if not (2 <= self.d <= MAX_D and is_square_free(self.d)):
+            raise ValueError(f"d must be a square-free integer in [2, 10^12], got {self.d}")
 
     @property
     def omega_kind(self) -> OmegaKind:

@@ -2,10 +2,11 @@
 
 Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
-orbit walks instead of divisor sums, form reduction instead of reduced-form
-enumeration, subset scans instead of chain extension along the order
-relation, and cyclotomic minimal polynomials instead of the order
-table of the trace census.  The implementations under test must agree with these.
+orbit walks instead of divisor sums, form reduction and an a-outer scan
+instead of the b-outer divisor enumeration of reduced forms, subset scans
+instead of chain extension along the order relation, and cyclotomic
+minimal polynomials instead of the order table of the trace census.  The
+implementations under test must agree with these.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,26 @@ def reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
             b = -b
             continue
         return (a, b, c)
+
+
+def reduced_forms_scan(D: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms of discriminant D, sorted, by scanning every
+    a <= sqrt(|D|/3) and every b in [-a, a]."""
+    forms = []
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(-a, a + 1):
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if (abs(b) == a or a == c) and b < 0:
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            forms.append((a, b, c))
+    return sorted(forms)
 
 
 def class_number_by_reduction(D: int, coeff_bound: int | None = None) -> tuple[int, set]:

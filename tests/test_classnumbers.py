@@ -4,7 +4,7 @@ import pytest
 
 from hilbertmod.classnumbers import class_number, is_discriminant, reduced_forms
 
-from oracles import class_number_by_reduction, reduce_form
+from oracles import class_number_by_reduction, reduce_form, reduced_forms_scan
 
 
 def test_spot_values():
@@ -49,3 +49,11 @@ def test_h_is_at_least_one():
     for D in range(-400, 0):
         if is_discriminant(D):
             assert class_number(D) >= 1, D
+
+
+def test_against_a_outer_scan():
+    # -100003 is fundamental, -400012 = -4 * 100003 with 100003 prime, and
+    # -100075 = -25 * 4003 has imprimitive forms 5 * (a, b, c) to skip.
+    for D in [*range(-4000, -2), -100003, -400012, -100075]:
+        if is_discriminant(D):
+            assert reduced_forms(D) == reduced_forms_scan(D), D

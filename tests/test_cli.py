@@ -3,6 +3,9 @@
 import json
 import time
 
+import pytest
+
+from hilbertmod import classnumbers, cli
 from hilbertmod.cli import (
     EXIT_INVALID_INPUT,
     EXIT_MISSING_ABELIANIZATION,
@@ -258,6 +261,9 @@ def test_ranks_builtin_field(capsys):
     assert payload["result"]["m"] == 6
     assert payload["provenance"]["class_counts"] == "paper-table"
     assert payload["provenance"]["rows"] == "computed"
+    # A list starting with a negative degree needs the --q=LIST form.
+    payload = run_json(capsys, "ranks", "5", "--q=-1,7")
+    assert [(row["q"], row["value"]) for row in payload["result"]["rows"]] == [(-1, 0), (7, 6)]
 
 
 def test_ranks_generic_classes_match_field(capsys):
@@ -340,6 +346,43 @@ def test_classnum(capsys):
     assert code == EXIT_OK
     code, _, _ = run_cli(capsys, "classnum", "-5")
     assert code == EXIT_INVALID_INPUT
+
+
+def test_classnum_enumerates_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(D, _inner=classnumbers.reduced_forms):
+        calls.append(D)
+        return _inner(D)
+
+    # cli binds the name at import; class_number looks it up in its module.
+    monkeypatch.setattr(classnumbers, "reduced_forms", counting)
+    monkeypatch.setattr(cli, "reduced_forms", counting)
+    payload = run_json(capsys, "classnum", "-23")
+    assert payload["result"]["class_number"] == 3
+    assert calls == [-23]
+
+
+def test_classnum_just_inside_the_cap(capsys):
+    start = time.monotonic()
+    payload = run_json(capsys, "classnum", "-99999999")
+    elapsed = time.monotonic() - start
+    assert payload["result"]["class_number"] == len(payload["result"]["reduced_forms"]) == 6976
+    assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("classnum", "-1000000007"), "10^8"),
+    (("field", "1000000000000000003"), "10^12"),
+    (("reps", "2000000014"), "10^7"),
+    (("ranks", "--classes", "2000000014:1", "--q=-1"), "10^7"),
+])
+def test_input_caps_exit_2_naming_the_limit(capsys, argv, limit):
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID_INPUT
+    assert limit in err
+    assert time.monotonic() - start < 5.0
 
 
 def test_chains(capsys):
