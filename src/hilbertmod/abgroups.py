@@ -16,7 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-__all__ = ["AbGroupExpr"]
+__all__ = ["MAX_TORSION_SUMMANDS", "AbGroupExpr"]
+
+MAX_TORSION_SUMMANDS = 10**4  # cyclic summands one parsed expression may list
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,7 @@ class AbGroupExpr:
 
     @classmethod
     def parse(cls, text: str) -> "AbGroupExpr":
+        """Parse ``"Z^2 + 3*Z/2"``; at most 10^4 torsion summands in total."""
         text = text.strip()
         if text == "0":
             return cls.zero()
@@ -132,6 +135,9 @@ class AbGroupExpr:
             elif term.startswith("Z^"):
                 free += mult * int(term[2:])
             elif term.startswith("Z/"):
+                if len(torsion) + mult > MAX_TORSION_SUMMANDS:
+                    raise ValueError(f"at most 10^4 torsion summands are supported, "
+                                     f"{text!r} has more")
                 torsion.extend([int(term[2:])] * mult)
             else:
                 raise ValueError(f"cannot parse abelian group summand {term!r}")

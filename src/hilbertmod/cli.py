@@ -17,8 +17,9 @@ tag: "paper-table" for values taken from the built-in published tables,
 
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and the orders
-in ``--classes``), and |D| <= 10^8 for ``classnum``.  Past a cap the
-command exits 2 and the message names the limit.
+in ``--classes``), |D| <= 10^8 for ``classnum``, m <= 10^4 maximal classes
+for ``chains``, and at most 10^4 torsion summands in ``--ab``.  Past a cap
+the command exits 2 and the message names the limit.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error.
@@ -292,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wh.add_argument("--classes", help="order:count pairs, e.g. 2:1,3:1")
     p_wh.add_argument("--mode", choices=["psl", "sl"], default="psl")
     p_wh.add_argument("--q", type=int, required=True)
-    p_wh.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" or "0"')
+    p_wh.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" '
+                                   'or "0"; at most 10^4 torsion summands')
     p_wh.add_argument("--json", action="store_true")
     p_wh.set_defaults(func=_cmd_whitehead)
 
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch = sub.add_parser("chains", help="chain census of an orbit poset")
     p_ch.add_argument("--poset", choices=["psl", "sl"], required=True)
     p_ch.add_argument("--m", type=int, required=True,
-                      help="number of maximal conjugacy classes")
+                      help="number of maximal conjugacy classes, at most 10^4")
     p_ch.add_argument("--p", type=int, required=True, help="chain length index")
     p_ch.add_argument("--json", action="store_true")
     p_ch.set_defaults(func=_cmd_chains)

@@ -19,8 +19,8 @@ formal sum of coefficient tokens per column:
   page of the projective poset.
 
 The differentials out of column 1 are induced by assembly maps
-H_q(BM) -> K_q(Z[M]) that are rationally injective; the page records this
-as :attr:`E1Page.d1_rationally_injective` instead of modeling d1 itself.
+H_q(BM) -> K_q(Z[M]) that are rationally injective; the class constant
+:attr:`E1Page.d1_rationally_injective` records this in place of d1 itself.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 from . import finitek
 from .assembler import ClassCounts
 
 __all__ = [
+    "MAX_CLASSES",
     "PropertyMViolationError",
     "NodeKind",
     "NodeTag",
@@ -47,6 +49,8 @@ __all__ = [
     "psl_poset",
     "sl_poset",
 ]
+
+MAX_CLASSES = 10**4  # maximal conjugacy classes in one orbit poset
 
 
 class PropertyMViolationError(Exception):
@@ -72,44 +76,41 @@ class NodeTag:
 class OrbitPoset:
     """Isomorphism classes of orbits with their strict order relation.
 
-    ``less`` pairs may be any generating set; the transitive closure is
-    taken on construction and cycles are rejected.  ``tags`` (label ->
-    :class:`NodeTag`) are optional for pure chain enumeration but required
-    by :func:`build_E1`.
+    ``less`` pairs may be any generating set and must name nodes of the
+    poset.  The order is stored as per-node up-sets (the nodes strictly
+    above each node), closed on construction by a depth-first search along
+    the generating pairs, so the star-shaped orbit posets cost O(m).
+    Cycles are rejected.  ``tags`` (label -> :class:`NodeTag`) are optional
+    for pure chain enumeration but required by :func:`build_E1`.
     """
 
     def __init__(self, nodes, less, tags=None):
         self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node labels")
-        index = {v: i for i, v in enumerate(self.nodes)}
-        n = len(self.nodes)
-        closed = [[False] * n for _ in range(n)]
+        self._index = {v: i for i, v in enumerate(self.nodes)}
+        succ = {v: [] for v in self.nodes}
         for a, b in less:
             if a == b:
                 raise ValueError(f"strict order cannot relate {a!r} to itself")
-            closed[index[a]][index[b]] = True
-        for k in range(n):
-            for i in range(n):
-                if closed[i][k]:
-                    row_k = closed[k]
-                    row_i = closed[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            if closed[i][i]:
+            if a not in succ or b not in succ:
+                raise ValueError(f"pair ({a!r}, {b!r}) names a node outside the poset")
+            succ[a].append(b)
+        self._above = {}
+        for v in self.nodes:
+            above, stack = set(), list(succ[v])
+            while stack:
+                w = stack.pop()
+                if w not in above:
+                    above.add(w)
+                    stack.extend(succ[w])
+            if v in above:
                 raise ValueError("relation has a cycle; not a strict partial order")
-        self._index = index
-        self._closed = closed
-        self.less = frozenset(
-            (self.nodes[i], self.nodes[j])
-            for i in range(n) for j in range(n) if closed[i][j]
-        )
+            self._above[v] = above
         self.tags = dict(tags or {})
 
     def lt(self, a: str, b: str) -> bool:
-        return self._closed[self._index[a]][self._index[b]]
+        return b in self._above[a]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -133,17 +134,20 @@ class Chain:
 def enumerate_pchains(poset: OrbitPoset, p: int) -> list[Chain]:
     """All p-chains of the poset, in deterministic lexicographic order.
 
-    Chains are grown one node at a time: each chain of length k extends by
-    every node strictly above its top, so the work follows the chains that
-    exist rather than the node subsets.  A chain is a totally ordered
-    subset, so sorting by the ascending node positions of that subset
-    lists the chains in the lexicographic order of their node sets.
+    Chains are grown one node at a time: each chain extends by every node
+    in the up-set of its top, so the work follows the chains that exist
+    rather than the node subsets, and it stops as soon as no chain is left.
+    A chain is a totally ordered subset, so sorting by the ascending node
+    positions of that subset lists the chains in the lexicographic order
+    of their node sets.
     """
     if p < 0:
         raise ValueError("chain length index p must be nonnegative")
     chains = [(v,) for v in poset.nodes]
     for _ in range(p):
-        chains = [c + (v,) for c in chains for v in poset.nodes if poset.lt(c[-1], v)]
+        chains = [c + (v,) for c in chains for v in poset._above[c[-1]]]
+        if not chains:
+            break  # a chain of p+1 nodes needs one of every shorter length
     chains.sort(key=lambda c: sorted(poset._index[v] for v in c))
     return [Chain(c) for c in chains]
 
@@ -168,13 +172,13 @@ class E1Page:
     """Column index -> formal sum of coefficient tokens (with multiplicity).
 
     Columns that index no chains are simply absent and read back as the
-    zero sum.  ``d1_rationally_injective`` records that the assembly maps
-    feeding column 0 are rationally injective, so ranks of the abutment
-    can be read off by subtracting column ranks.
+    zero sum.  The class constant ``d1_rationally_injective`` records that
+    the assembly maps feeding column 0 are rationally injective, so ranks
+    of the abutment can be read off by subtracting column ranks.
     """
 
     columns: dict = field(default_factory=dict)
-    d1_rationally_injective: bool = True
+    d1_rationally_injective: ClassVar[bool] = True
 
     def column(self, p: int) -> Counter:
         return self.columns.get(p, Counter())
@@ -195,8 +199,9 @@ def _tag_of(poset: OrbitPoset, label: str) -> NodeTag:
 
 
 def _check_property_m(poset: OrbitPoset) -> None:
-    for a, b in poset.less:
-        if _tag_of(poset, a).kind is NodeKind.MAXIMAL:
+    for a in poset.nodes:
+        if poset._above[a] and _tag_of(poset, a).kind is NodeKind.MAXIMAL:
+            b = next(v for v in poset.nodes if v in poset._above[a])
             raise PropertyMViolationError(
                 f"maximal node {a!r} lies below {b!r}; property (M) fails"
             )
@@ -210,16 +215,6 @@ def _check_class_counts(poset: OrbitPoset, class_counts: ClassCounts) -> None:
         raise ValueError("poset maximal nodes do not match the class counts")
 
 
-def _all_chains(poset: OrbitPoset) -> list[Chain]:
-    chains = []
-    for p in range(len(poset)):
-        at_p = enumerate_pchains(poset, p)
-        if not at_p:
-            break  # a longer chain would contain a chain of this length
-        chains.extend(at_p)
-    return chains
-
-
 def build_E1(
     poset: OrbitPoset,
     relative_to_trivial: bool,
@@ -227,66 +222,50 @@ def build_E1(
 ) -> E1Page:
     """Assemble the symbolic first page over a tagged orbit poset.
 
+    The poset needs one trivial node with nothing below it, at most one
+    central node, and nothing above a maximal node (property (M)).
     ``relative_to_trivial`` selects the pair against the trivial family:
-    every chain whose least element is the trivial orbit is dropped.  When
-    a central node remains it takes over the bottom role and the page is
-    the absolute page of the quotient poset; with no central node the
-    surviving maximal 0-chains carry Wh tokens.  ``class_counts``, when
-    given, is cross-checked against the poset's maximal nodes.
+    chains whose least element is the trivial orbit are dropped, a central
+    node takes over the bottom role, and without one the maximal 0-chains
+    carry Wh tokens.  ``class_counts``, when given, is cross-checked
+    against the poset's maximal nodes.
     """
     for label in poset.nodes:
         _tag_of(poset, label)
     _check_property_m(poset)
     if class_counts is not None:
         _check_class_counts(poset, class_counts)
+    trivial = [v for v in poset.nodes if poset.tags[v].kind is NodeKind.TRIVIAL]
+    central = [v for v in poset.nodes if poset.tags[v].kind is NodeKind.CENTRAL]
+    if (len(trivial) != 1 or len(central) > 1
+            or any(trivial[0] in poset._above[v] for v in poset.nodes)):
+        raise ValueError("a first page needs exactly one trivial node, with nothing "
+                         "below it, and at most one central node")
+    if central and not relative_to_trivial:
+        raise ValueError(
+            "absolute page over a poset with a central node is not supported; "
+            "use the relative page, which matches the projective absolute page"
+        )
 
-    trivial_nodes = [v for v in poset.nodes
-                     if poset.tags[v].kind is NodeKind.TRIVIAL]
-    central_nodes = [v for v in poset.nodes
-                     if poset.tags[v].kind is NodeKind.CENTRAL]
-    if len(trivial_nodes) > 1 or len(central_nodes) > 1:
-        raise ValueError("at most one trivial and one central node are supported")
-
-    chains = _all_chains(poset)
+    # With this shape a chain runs trivial < central < maximal with steps
+    # left out, so every 2-chain starts at the trivial node: the absolute
+    # page (no central node) has none and the relative page drops them.
+    chains = enumerate_pchains(poset, 0) + enumerate_pchains(poset, 1)
+    bottom = trivial[0]
     if relative_to_trivial:
-        if not trivial_nodes:
-            raise ValueError("relative page needs a trivial orbit to quotient by")
-        trivial = trivial_nodes[0]
-        chains = [c for c in chains if c.least != trivial]
-        bottom = central_nodes[0] if central_nodes else None
-        pair_mode = bottom is None
-    else:
-        if central_nodes:
-            raise ValueError(
-                "absolute page over a poset with a central node is not supported; "
-                "use the relative page, which matches the projective absolute page"
-            )
-        if not trivial_nodes:
-            raise ValueError("absolute page needs the trivial orbit")
-        bottom = trivial_nodes[0]
-        pair_mode = False
+        chains = [c for c in chains if c.least != bottom]
+        bottom = central[0] if central else None
 
     page = E1Page()
     for chain in chains:
-        kinds = [poset.tags[v].kind for v in chain.nodes]
-        if pair_mode:
-            # Pair page with no intermediate node: only maximal 0-chains
-            # survive, one Wh token each.
-            if chain.p == 0 and kinds == [NodeKind.MAXIMAL]:
-                page.add(0, CoeffToken(TokenKind.WHITEHEAD, poset.tags[chain.least].order))
-                continue
-            raise ValueError(f"unexpected surviving chain {chain.nodes} in pair page")
-        if chain.p == 0:
-            if chain.least == bottom:
-                page.add(0, CoeffToken(TokenKind.H_BG))
-            elif kinds == [NodeKind.MAXIMAL]:
-                page.add(0, CoeffToken(TokenKind.K_GROUP_RING, poset.tags[chain.least].order))
-            else:
-                raise ValueError(f"unexpected 0-chain {chain.nodes}")
-        elif chain.p == 1 and chain.least == bottom and kinds[1] is NodeKind.MAXIMAL:
-            page.add(1, CoeffToken(TokenKind.H_BM, poset.tags[chain.nodes[1]].order))
+        top = poset.tags[chain.nodes[-1]]
+        if chain.p == 1:
+            page.add(1, CoeffToken(TokenKind.H_BM, top.order))
+        elif chain.least == bottom:
+            page.add(0, CoeffToken(TokenKind.H_BG))
         else:
-            raise ValueError(f"unexpected chain {chain.nodes} on an absolute page")
+            kind = TokenKind.WHITEHEAD if bottom is None else TokenKind.K_GROUP_RING
+            page.add(0, CoeffToken(kind, top.order))
     return page
 
 
@@ -321,18 +300,15 @@ def rank_E1_column(
 
 
 def _maximal_labels(class_counts_or_m) -> list[tuple[str, int | None]]:
-    if isinstance(class_counts_or_m, ClassCounts):
-        labels = []
-        i = 0
-        for n, count in class_counts_or_m.entries:
-            for _ in range(count):
-                i += 1
-                labels.append((f"G/M{i}", n))
-        return labels
-    m = int(class_counts_or_m)
+    counted = isinstance(class_counts_or_m, ClassCounts)
+    m = class_counts_or_m.m if counted else int(class_counts_or_m)
     if m < 0:
         raise ValueError("number of maximal classes must be nonnegative")
-    return [(f"G/M{i}", None) for i in range(1, m + 1)]
+    if m > MAX_CLASSES:
+        raise ValueError(f"number of maximal classes must be at most 10^4, got {m}")
+    orders = ([n for n, count in class_counts_or_m.entries for _ in range(count)]
+              if counted else [None] * m)
+    return [(f"G/M{i}", n) for i, n in enumerate(orders, 1)]
 
 
 def psl_poset(class_counts_or_m) -> OrbitPoset:

@@ -3,7 +3,8 @@
 Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
 orbit walks instead of divisor sums, form reduction and an a-outer scan
-instead of the b-outer divisor enumeration of reduced forms, subset scans
+instead of the b-outer divisor enumeration of reduced forms, a dense
+Warshall closure instead of up-sets grown by search, subset scans
 instead of chain extension along the order relation, and cyclotomic
 minimal polynomials instead of the order table of the trace census.  The
 implementations under test must agree with these.
@@ -144,8 +145,28 @@ def orbit_partition(n: int, multipliers) -> list[set]:
 
 
 # ---------------------------------------------------------------------------
-# Chains by brute force
+# Order closure and chains by brute force
 # ---------------------------------------------------------------------------
+
+def closure_pairs(nodes, less) -> set[tuple]:
+    """Strict order generated by ``less``, closed on a dense n x n matrix
+    by Warshall's triple loop; a relation with a cycle raises ValueError."""
+    nodes = tuple(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    closed = [[False] * n for _ in range(n)]
+    for a, b in less:
+        closed[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if closed[i][k]:
+                for j in range(n):
+                    if closed[k][j]:
+                        closed[i][j] = True
+    if any(closed[i][i] for i in range(n)):
+        raise ValueError("relation has a cycle; not a strict partial order")
+    return {(nodes[i], nodes[j]) for i in range(n) for j in range(n) if closed[i][j]}
+
 
 def naive_pchains(poset, p: int) -> list[tuple]:
     """All p-chains, accepting a subset when sorting it by predecessor

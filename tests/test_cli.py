@@ -376,6 +376,9 @@ def test_classnum_just_inside_the_cap(capsys):
     (("field", "1000000000000000003"), "10^12"),
     (("reps", "2000000014"), "10^7"),
     (("ranks", "--classes", "2000000014:1", "--q=-1"), "10^7"),
+    (("chains", "--poset", "sl", "--m", "10001", "--p", "1"), "10^4"),
+    (("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1",
+      "--ab", "1000000000*Z/2", "--json"), "10^4"),
 ])
 def test_input_caps_exit_2_naming_the_limit(capsys, argv, limit):
     start = time.monotonic()
@@ -410,12 +413,265 @@ def test_reps_large_order_in_bounded_time(capsys):
 
 
 def test_chains_long_p_in_bounded_time(capsys):
-    for poset, m, p in (("psl", 40, 20), ("sl", 24, 12)):
+    for poset, m, p in (("psl", 40, 20), ("sl", 24, 12), ("psl", 1, 10**9)):
         start = time.monotonic()
         payload = run_json(capsys, "chains", "--poset", poset, "--m", str(m), "--p", str(p))
         elapsed = time.monotonic() - start
         assert payload["result"]["count"] == 0, poset
         assert elapsed < 5.0, (poset, elapsed)
+
+
+def test_chains_at_the_class_cap(capsys):
+    start = time.monotonic()
+    payload = run_json(capsys, "chains", "--poset", "sl", "--m", "10000", "--p", "1")
+    elapsed = time.monotonic() - start
+    assert payload["result"]["count"] == len(payload["result"]["chains"]) == 20001
+    assert elapsed < 5.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# chains goldens: stdout bytes pinned for psl and sl, m in {0, 3, 6},
+# p in {0, 1, 2}; --json bytes are pinned as compact JSON, as for field.
+# ---------------------------------------------------------------------------
+
+CHAINS_JSON_GOLDEN = {
+    ("psl", 0, 0): (
+        '{"command":"chains","inputs":{"m":0,"p":0,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1"]],"count":1},"schema_version":"1"}'
+    ),
+    ("psl", 0, 1): (
+        '{"command":"chains","inputs":{"m":0,"p":1,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[],"count":0},"schema_version":"1"}'
+    ),
+    ("psl", 0, 2): (
+        '{"command":"chains","inputs":{"m":0,"p":2,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[],"count":0},"schema_version":"1"}'
+    ),
+    ("psl", 3, 0): (
+        '{"command":"chains","inputs":{"m":3,"p":0,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1"],["G/M1"],["G/M2"],["G/M3"]]'
+        ',"count":4},"schema_version":"1"}'
+    ),
+    ("psl", 3, 1): (
+        '{"command":"chains","inputs":{"m":3,"p":1,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/M1"],["G/1","G/M2"],["G/1","G/M3"]]'
+        ',"count":3},"schema_version":"1"}'
+    ),
+    ("psl", 3, 2): (
+        '{"command":"chains","inputs":{"m":3,"p":2,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[],"count":0},"schema_version":"1"}'
+    ),
+    ("psl", 6, 0): (
+        '{"command":"chains","inputs":{"m":6,"p":0,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1"],["G/M1"],["G/M2"],["G/M3"],["G/M4"]'
+        ',["G/M5"],["G/M6"]],"count":7},"schema_version":"1"}'
+    ),
+    ("psl", 6, 1): (
+        '{"command":"chains","inputs":{"m":6,"p":1,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/M1"],["G/1","G/M2"],["G/1","G/M3"]'
+        ',["G/1","G/M4"],["G/1","G/M5"],["G/1","G/M6"]],"count":6}'
+        ',"schema_version":"1"}'
+    ),
+    ("psl", 6, 2): (
+        '{"command":"chains","inputs":{"m":6,"p":2,"poset":"psl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[],"count":0},"schema_version":"1"}'
+    ),
+    ("sl", 0, 0): (
+        '{"command":"chains","inputs":{"m":0,"p":0,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1"],["G/{+-I}"]],"count":2}'
+        ',"schema_version":"1"}'
+    ),
+    ("sl", 0, 1): (
+        '{"command":"chains","inputs":{"m":0,"p":1,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/{+-I}"]],"count":1}'
+        ',"schema_version":"1"}'
+    ),
+    ("sl", 0, 2): (
+        '{"command":"chains","inputs":{"m":0,"p":2,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[],"count":0},"schema_version":"1"}'
+    ),
+    ("sl", 3, 0): (
+        '{"command":"chains","inputs":{"m":3,"p":0,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1"],["G/{+-I}"],["G/M1"],["G/M2"]'
+        ',["G/M3"]],"count":5},"schema_version":"1"}'
+    ),
+    ("sl", 3, 1): (
+        '{"command":"chains","inputs":{"m":3,"p":1,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/{+-I}"],["G/1","G/M1"],["G/1"'
+        ',"G/M2"],["G/1","G/M3"],["G/{+-I}","G/M1"],["G/{+-I}","G/M2"]'
+        ',["G/{+-I}","G/M3"]],"count":7},"schema_version":"1"}'
+    ),
+    ("sl", 3, 2): (
+        '{"command":"chains","inputs":{"m":3,"p":2,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/{+-I}","G/M1"],["G/1","G/{+-I}"'
+        ',"G/M2"],["G/1","G/{+-I}","G/M3"]],"count":3}'
+        ',"schema_version":"1"}'
+    ),
+    ("sl", 6, 0): (
+        '{"command":"chains","inputs":{"m":6,"p":0,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1"],["G/{+-I}"],["G/M1"],["G/M2"]'
+        ',["G/M3"],["G/M4"],["G/M5"],["G/M6"]],"count":8}'
+        ',"schema_version":"1"}'
+    ),
+    ("sl", 6, 1): (
+        '{"command":"chains","inputs":{"m":6,"p":1,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/{+-I}"],["G/1","G/M1"],["G/1"'
+        ',"G/M2"],["G/1","G/M3"],["G/1","G/M4"],["G/1","G/M5"],["G/1"'
+        ',"G/M6"],["G/{+-I}","G/M1"],["G/{+-I}","G/M2"],["G/{+-I}","G/M3"]'
+        ',["G/{+-I}","G/M4"],["G/{+-I}","G/M5"],["G/{+-I}","G/M6"]]'
+        ',"count":13},"schema_version":"1"}'
+    ),
+    ("sl", 6, 2): (
+        '{"command":"chains","inputs":{"m":6,"p":2,"poset":"sl"}'
+        ',"provenance":{"chains":"computed","count":"computed"}'
+        ',"result":{"chains":[["G/1","G/{+-I}","G/M1"],["G/1","G/{+-I}"'
+        ',"G/M2"],["G/1","G/{+-I}","G/M3"],["G/1","G/{+-I}","G/M4"],["G/1"'
+        ',"G/{+-I}","G/M5"],["G/1","G/{+-I}","G/M6"]],"count":6}'
+        ',"schema_version":"1"}'
+    ),
+}
+
+CHAINS_PLAIN_GOLDEN = {
+    ("psl", 0, 0): """\
+psl poset with m=0: 1 chains at p=0
+  G/1
+""",
+    ("psl", 0, 1): 'psl poset with m=0: 0 chains at p=1\n',
+    ("psl", 0, 2): 'psl poset with m=0: 0 chains at p=2\n',
+    ("psl", 3, 0): """\
+psl poset with m=3: 4 chains at p=0
+  G/1
+  G/M1
+  G/M2
+  G/M3
+""",
+    ("psl", 3, 1): """\
+psl poset with m=3: 3 chains at p=1
+  G/1 < G/M1
+  G/1 < G/M2
+  G/1 < G/M3
+""",
+    ("psl", 3, 2): 'psl poset with m=3: 0 chains at p=2\n',
+    ("psl", 6, 0): """\
+psl poset with m=6: 7 chains at p=0
+  G/1
+  G/M1
+  G/M2
+  G/M3
+  G/M4
+  G/M5
+  G/M6
+""",
+    ("psl", 6, 1): """\
+psl poset with m=6: 6 chains at p=1
+  G/1 < G/M1
+  G/1 < G/M2
+  G/1 < G/M3
+  G/1 < G/M4
+  G/1 < G/M5
+  G/1 < G/M6
+""",
+    ("psl", 6, 2): 'psl poset with m=6: 0 chains at p=2\n',
+    ("sl", 0, 0): """\
+sl poset with m=0: 2 chains at p=0
+  G/1
+  G/{+-I}
+""",
+    ("sl", 0, 1): """\
+sl poset with m=0: 1 chains at p=1
+  G/1 < G/{+-I}
+""",
+    ("sl", 0, 2): 'sl poset with m=0: 0 chains at p=2\n',
+    ("sl", 3, 0): """\
+sl poset with m=3: 5 chains at p=0
+  G/1
+  G/{+-I}
+  G/M1
+  G/M2
+  G/M3
+""",
+    ("sl", 3, 1): """\
+sl poset with m=3: 7 chains at p=1
+  G/1 < G/{+-I}
+  G/1 < G/M1
+  G/1 < G/M2
+  G/1 < G/M3
+  G/{+-I} < G/M1
+  G/{+-I} < G/M2
+  G/{+-I} < G/M3
+""",
+    ("sl", 3, 2): """\
+sl poset with m=3: 3 chains at p=2
+  G/1 < G/{+-I} < G/M1
+  G/1 < G/{+-I} < G/M2
+  G/1 < G/{+-I} < G/M3
+""",
+    ("sl", 6, 0): """\
+sl poset with m=6: 8 chains at p=0
+  G/1
+  G/{+-I}
+  G/M1
+  G/M2
+  G/M3
+  G/M4
+  G/M5
+  G/M6
+""",
+    ("sl", 6, 1): """\
+sl poset with m=6: 13 chains at p=1
+  G/1 < G/{+-I}
+  G/1 < G/M1
+  G/1 < G/M2
+  G/1 < G/M3
+  G/1 < G/M4
+  G/1 < G/M5
+  G/1 < G/M6
+  G/{+-I} < G/M1
+  G/{+-I} < G/M2
+  G/{+-I} < G/M3
+  G/{+-I} < G/M4
+  G/{+-I} < G/M5
+  G/{+-I} < G/M6
+""",
+    ("sl", 6, 2): """\
+sl poset with m=6: 6 chains at p=2
+  G/1 < G/{+-I} < G/M1
+  G/1 < G/{+-I} < G/M2
+  G/1 < G/{+-I} < G/M3
+  G/1 < G/{+-I} < G/M4
+  G/1 < G/{+-I} < G/M5
+  G/1 < G/{+-I} < G/M6
+""",
+}
+
+
+def test_chains_golden_bytes(capsys):
+    for (poset, m, p), compact in CHAINS_JSON_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "chains", "--poset", poset, "--m", str(m),
+                               "--p", str(p), "--json")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n", (poset, m, p)
+    for (poset, m, p), text in CHAINS_PLAIN_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "chains", "--poset", poset, "--m", str(m), "--p", str(p))
+        assert code == EXIT_OK
+        assert out == text, (poset, m, p)
 
 
 # ---------------------------------------------------------------------------

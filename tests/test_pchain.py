@@ -21,7 +21,7 @@ from hilbertmod.pchain import (
     sl_poset,
 )
 
-from oracles import naive_pchains, permutation_pchains
+from oracles import closure_pairs, naive_pchains, permutation_pchains
 
 D5_COUNTS = ClassCounts.parse("2:2,3:2,5:2")
 
@@ -39,6 +39,33 @@ def test_transitive_closure_and_validation():
         OrbitPoset("ab", [("a", "b"), ("b", "a")])
     with pytest.raises(ValueError):
         OrbitPoset("aa", [])
+    with pytest.raises(ValueError, match="outside the poset"):
+        OrbitPoset("ab", [("a", "c")])
+    with pytest.raises(ValueError, match="outside the poset"):
+        OrbitPoset("ab", [("z", "b")])
+
+
+def test_up_sets_against_dense_closure_on_random_relations():
+    rng = random.Random(31337)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        nodes = [f"v{i}" for i in range(n)]
+        # mostly forward edges, and now and then a back edge that may close a cycle
+        less = [(nodes[i], nodes[j]) for i in range(n) for j in range(n)
+                if i != j and rng.random() < (0.35 if i < j else 0.06)]
+        rng.shuffle(less)
+        try:
+            want = closure_pairs(nodes, less)
+        except ValueError:
+            with pytest.raises(ValueError, match="cycle"):
+                OrbitPoset(nodes, less)
+            seen["cyclic"] += 1
+            continue
+        poset = OrbitPoset(nodes, less)
+        assert {(a, b) for a in nodes for b in nodes if poset.lt(a, b)} == want, less
+        seen["acyclic"] += 1
+    assert seen["cyclic"] >= 50 and seen["acyclic"] >= 50, seen
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +202,27 @@ def test_build_E1_guards():
     with pytest.raises(ValueError):
         build_E1(sl_poset(D5_COUNTS), relative_to_trivial=False,
                  class_counts=D5_COUNTS)
+
+
+def _tagged(kinds, less):
+    tags = {v: NodeTag(kind, 2 if kind is NodeKind.MAXIMAL else None)
+            for v, kind in kinds.items()}
+    return OrbitPoset(list(kinds), less, tags)
+
+
+def test_build_E1_shape_check():
+    T, C, M = NodeKind.TRIVIAL, NodeKind.CENTRAL, NodeKind.MAXIMAL
+    no_trivial = _tagged({"G/{+-I}": C, "G/M1": M}, [("G/{+-I}", "G/M1")])
+    two_trivial = _tagged({"G/1": T, "G/1'": T, "G/M1": M},
+                          [("G/1", "G/M1"), ("G/1'", "G/M1")])
+    two_central = _tagged({"G/1": T, "C1": C, "C2": C, "G/M1": M},
+                          [("G/1", "C1"), ("G/1", "C2"), ("C1", "G/M1"), ("C2", "G/M1")])
+    trivial_above_central = _tagged({"G/{+-I}": C, "G/1": T, "G/M1": M},
+                                    [("G/{+-I}", "G/1"), ("G/1", "G/M1")])
+    for poset in (no_trivial, two_trivial, two_central, trivial_above_central):
+        for relative in (False, True):
+            with pytest.raises(ValueError, match="exactly one trivial node"):
+                build_E1(poset, relative_to_trivial=relative)
 
 
 def test_property_m_violation():
