@@ -26,7 +26,7 @@ from .assembler import (
 )
 from .classnumbers import class_number, reduced_forms
 from .cyclicreps import RepCounts, c_count, kp_count, q_count, r_count, rep_counts, rp_count
-from .finitek import RankCase, RankValue, rank_H_BM, rank_K_cyclic, wh_cyclic
+from .finitek import RankCase, rank_H_BM, rank_K_cyclic, wh_cyclic
 from .pchain import (
     Chain,
     E1Page,
@@ -39,7 +39,6 @@ from .pchain import (
 )
 from .quadfield import (
     FieldSpec,
-    NotFiniteOrderError,
     QuadElem,
     TraceCandidate,
     allowed_orders,

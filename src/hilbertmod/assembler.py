@@ -120,9 +120,6 @@ class ClassCounts:
         """Total number of conjugacy classes (always recomputed)."""
         return sum(c for _, c in self.entries)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
 
 @dataclass(frozen=True)
 class GroupData:
@@ -216,7 +213,7 @@ def rank_diff(g: GroupData, q: int) -> int:
     """
     if g.mode is not Mode.PSL:
         raise ValueError("the rank difference formula applies to the projective group")
-    total = sum(count * rank_K_cyclic(n, q).value for n, count in g.class_counts.entries)
+    total = sum(count * rank_K_cyclic(n, q) for n, count in g.class_counts.entries)
     if q == 0 or (q > 2 and q % 4 == 1):
         return total - g.class_counts.m
     return total

@@ -169,9 +169,6 @@ class RepCounts:
     q: int
     local: tuple[tuple[int, int, int], ...]  # (p, k_p, r_p), ascending p
 
-    def local_as_dict(self) -> dict:
-        return {p: (kp, rp) for p, kp, rp in self.local}
-
 
 def rep_counts(n: int) -> RepCounts:
     _require_order(n)

@@ -23,7 +23,6 @@ vanishes for n <= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .abgroups import AbGroupExpr
@@ -31,15 +30,10 @@ from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_
 
 __all__ = [
     "RankCase",
-    "RankValue",
     "rank_case",
     "rank_K_cyclic",
     "rank_H_BM",
     "wh_cyclic",
-    "sk1_token",
-    "wh0_token",
-    "k_minus1_torsion_token",
-    "whq_token",
 ]
 
 
@@ -50,12 +44,6 @@ class RankCase(Enum):
     Q_IS_0 = "q=0"
     Q_IS_MINUS_1 = "q=-1"
     ZERO = "otherwise"
-
-
-@dataclass(frozen=True)
-class RankValue:
-    value: int
-    case_label: RankCase
 
 
 def rank_case(q: int) -> RankCase:
@@ -73,26 +61,24 @@ def rank_case(q: int) -> RankCase:
     return RankCase.ZERO
 
 
-def rank_K_cyclic(n: int, q: int) -> RankValue:
+def rank_K_cyclic(n: int, q: int) -> int:
     """Rational rank of K_q(Z[Z_n])."""
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
     case = rank_case(q)
     if case is RankCase.Q1_MOD4:
-        value = r_count(n)
-    elif case is RankCase.Q3_MOD4:
-        value = c_count(n)
-    elif case is RankCase.Q_IS_1:
-        value = r_count(n) - q_count(n)
-    elif case is RankCase.Q_IS_0:
-        value = 1
-    elif case is RankCase.Q_IS_MINUS_1:
-        value = 1 - q_count(n) + sum(
+        return r_count(n)
+    if case is RankCase.Q3_MOD4:
+        return c_count(n)
+    if case is RankCase.Q_IS_1:
+        return r_count(n) - q_count(n)
+    if case is RankCase.Q_IS_0:
+        return 1
+    if case is RankCase.Q_IS_MINUS_1:
+        return 1 - q_count(n) + sum(
             kp_count(n, p) - rp_count(n, p) for p in prime_divisors(n)
         )
-    else:
-        value = 0
-    return RankValue(value=value, case_label=case)
+    return 0
 
 
 def rank_H_BM(n: int, q: int) -> int:
@@ -104,22 +90,6 @@ def rank_H_BM(n: int, q: int) -> int:
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
     return 1 if q == 0 or (q > 2 and q % 4 == 1) else 0
-
-
-def sk1_token(n: int) -> str:
-    return f"SK1(Z_{n})"
-
-
-def wh0_token(n: int) -> str:
-    return f"Wh0(Z_{n})"
-
-
-def k_minus1_torsion_token(n: int) -> str:
-    return f"K-1tors(Z_{n})"
-
-
-def whq_token(n: int, q: int) -> str:
-    return f"Wh{q}(Z_{n})"
 
 
 def wh_cyclic(n: int, q: int) -> AbGroupExpr:
@@ -137,17 +107,17 @@ def wh_cyclic(n: int, q: int) -> AbGroupExpr:
     if n == 1:
         return AbGroupExpr.zero()
     if q >= 2:
-        return AbGroupExpr.token(whq_token(n, q))
+        return AbGroupExpr.token(f"Wh{q}(Z_{n})")
     if q == 1:
         free = r_count(n) - q_count(n)
         if n <= 6:
             return AbGroupExpr.free(free)
-        return AbGroupExpr(free_rank=free, symbolic=((sk1_token(n), 1),))
+        return AbGroupExpr(free_rank=free, symbolic=((f"SK1(Z_{n})", 1),))
     if q == 0:
         if n <= 4:
             return AbGroupExpr.zero()
-        return AbGroupExpr.token(wh0_token(n))
+        return AbGroupExpr.token(f"Wh0(Z_{n})")
     if q == -1:
-        free = rank_K_cyclic(n, -1).value
-        return AbGroupExpr(free_rank=free, symbolic=((k_minus1_torsion_token(n), 1),))
+        free = rank_K_cyclic(n, -1)
+        return AbGroupExpr(free_rank=free, symbolic=((f"K-1tors(Z_{n})", 1),))
     return AbGroupExpr.zero()

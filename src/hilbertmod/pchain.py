@@ -66,11 +66,7 @@ class NodeKind(Enum):
 @dataclass(frozen=True)
 class NodeTag:
     kind: NodeKind
-    order: int | None = None  # cyclic order of the subgroup for MAXIMAL/CENTRAL
-
-    def __post_init__(self) -> None:
-        if self.kind is NodeKind.CENTRAL and self.order is None:
-            object.__setattr__(self, "order", 2)
+    order: int | None = None  # cyclic order of the subgroup for MAXIMAL
 
 
 class OrbitPoset:
@@ -186,9 +182,6 @@ class E1Page:
     def add(self, p: int, token: CoeffToken, mult: int = 1) -> None:
         self.columns.setdefault(p, Counter())[token] += mult
 
-    def max_column(self) -> int:
-        return max(self.columns, default=-1)
-
 
 def _tag_of(poset: OrbitPoset, label: str) -> NodeTag:
     tag = poset.tags.get(label)
@@ -291,11 +284,11 @@ def rank_E1_column(
         if token.order is None:
             raise ValueError(f"token {token} carries no subgroup order")
         if token.kind is TokenKind.K_GROUP_RING:
-            total += mult * rank_k(token.order, q).value
+            total += mult * rank_k(token.order, q)
         elif token.kind is TokenKind.H_BM:
             total += mult * rank_h(token.order, q)
         else:
-            total += mult * (rank_k(token.order, q).value - rank_h(token.order, q))
+            total += mult * (rank_k(token.order, q) - rank_h(token.order, q))
     return total
 
 

@@ -21,6 +21,13 @@ the orders 2 to 6.  The order is therefore read from a seven-entry table
 keyed by the minimal polynomial data (x, x^2 - y^2*d) of t, that is
 (trace(t), 4*norm(t)).
 
+The table is complete.  For y = 0, 4 | x^2 leaves x in {0, +-2}: the
+keys (0, 0) and (+-2, 4).  For y != 0 the bound y^2*d < (4 - |x|)^2 <= 16
+forces d < 16.  With |y| = 1, 4 | x^2 - d needs x odd and d = 1 mod 4,
+and d < (4 - |x|)^2 then leaves x = +-1, d = 5: the keys (+-1, -4).  With
+|y| = 2, x is even and 4*d < (4 - |x|)^2 leaves x = 0, d in {2, 3}: the
+keys (0, -8) and (0, -12).  Those are the seven keys.
+
 Exact comparison of a + b*sqrt(d) with 0 is done by sign analysis and a
 single squaring step in :meth:`QuadElem.sign`; that method is the one
 place in the package where an irrational quantity is compared with a
@@ -41,7 +48,6 @@ __all__ = [
     "MAX_D",
     "QuadElem",
     "TraceCandidate",
-    "NotFiniteOrderError",
     "is_square_free",
     "is_algebraic_integer",
     "embed",
@@ -54,10 +60,6 @@ __all__ = [
 
 # Largest d accepted; it bounds the trial-division square-free test.
 MAX_D = 10**12
-
-
-class NotFiniteOrderError(Exception):
-    """An elliptic trace missing from the order table (excluded by Kronecker)."""
 
 
 class OmegaKind(Enum):
@@ -189,9 +191,6 @@ class QuadElem:
     def __lt__(self, other: "QuadElem") -> bool:
         return (self - other).sign() < 0
 
-    def __le__(self, other: "QuadElem") -> bool:
-        return (self - other).sign() <= 0
-
     def approx(self) -> float:
         """Floating approximation, for display only (never used in decisions)."""
         return float(self.a) + float(self.b) * math.sqrt(self.field.d)
@@ -274,17 +273,13 @@ def order_from_trace(t: QuadElem) -> int:
     """Order in PSL2 of an elliptic element with trace t.
 
     The element has order n exactly when t = 2*cos(j*pi/n) with
-    gcd(j, n) = 1; the module docstring explains why the seven minimal
+    gcd(j, n) = 1; the module docstring shows that the seven minimal
     polynomials in the order table are all that can occur.  Raises
-    :class:`NotFiniteOrderError` for a trace missing from the table, and
     ValueError when t is not an elliptic algebraic-integer trace.
     """
     if not is_elliptic_trace(t):
         raise ValueError(f"{t} is not an elliptic trace")
-    try:
-        return _PSL_ORDER[(t.trace(), 4 * t.norm())]
-    except KeyError:
-        raise NotFiniteOrderError(f"{t} is not 2*cos(j*pi/n) for any n") from None
+    return _PSL_ORDER[(t.trace(), 4 * t.norm())]
 
 
 @dataclass(frozen=True)
@@ -306,19 +301,18 @@ def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
 
     Scans t = (x + y*sqrt(d))/2 over |x| < 4, |y| <= 2, keeps the algebraic
     integers with both embeddings strictly inside (-2, 2) by the integer
-    tests of the module docstring, and pairs each with its order.  Every
-    elliptic trace in a real quadratic field is a 2*cos(j*pi/n) value; if
-    one ever were not, :func:`order_from_trace` would raise rather than
-    silently drop it.  Candidates are returned sorted by (a, b), which is
-    the (x, y) order of the scan.
+    tests of the module docstring, and reads each order from the table by
+    the key (x, x^2 - y^2*d).  Candidates are returned sorted by (a, b),
+    which is the (x, y) order of the scan.
     """
     d = field.d
     found = []
     for x in range(-3, 4):
         for y in range(-2, 3):
-            if (x * x - y * y * d) % 4 == 0 and y * y * d < (4 - abs(x)) ** 2:
+            norm4 = x * x - y * y * d
+            if norm4 % 4 == 0 and y * y * d < (4 - abs(x)) ** 2:
                 t = field.element(Fraction(x, 2), Fraction(y, 2))
-                found.append(TraceCandidate(t, order_from_trace(t)))
+                found.append(TraceCandidate(t, _PSL_ORDER[(x, norm4)]))
     return tuple(found)
 
 

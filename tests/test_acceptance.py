@@ -202,8 +202,8 @@ def test_criterion_6_k_minus_one_spot_values():
       rank 1.
     The divisor-sum oracle (oracle4) agrees.
     """
-    got2 = rank_K_cyclic(2, -1).value
-    got4 = rank_K_cyclic(4, -1).value
+    got2 = rank_K_cyclic(2, -1)
+    got4 = rank_K_cyclic(4, -1)
     oracle4 = 1 - q_count(4) + (kp_formula(4, 2) - rp_formula(4, 2))
     ok = got2 == 0 and got4 == 0
     _report(6, ok, f"rank(Z_2)={got2} (pinned 0), rank(Z_4)={got4} "

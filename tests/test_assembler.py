@@ -37,7 +37,7 @@ def _d5_sl():
 def test_class_counts_parse_and_m():
     counts = ClassCounts.parse("2:2,3:2,5:2")
     assert counts.m == 6
-    assert counts.as_dict() == {2: 2, 3: 2, 5: 2}
+    assert counts.entries == ((2, 2), (3, 2), (5, 2))
     with pytest.raises(ValueError):
         ClassCounts.parse("3:1,2:1")  # not ascending
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_class_counts_parse_and_m():
 
 def test_builtin_table():
     counts = class_counts_for_field(FieldSpec(5))
-    assert counts.as_dict() == {2: 2, 3: 2, 5: 2}
+    assert counts.entries == ((2, 2), (3, 2), (5, 2))
     assert counts.m == 6
     with pytest.raises(MissingClassDataError):
         class_counts_for_field(FieldSpec(7))

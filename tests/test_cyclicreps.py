@@ -117,10 +117,10 @@ def test_local_subgroup_is_a_subgroup():
 def test_rep_counts_aggregate():
     rc = rep_counts(5)
     assert (rc.r, rc.c, rc.q) == (3, 2, 2)
-    assert rc.local_as_dict() == {5: (2, 1)}
+    assert rc.local == ((5, 2, 1),)
     rc2 = rep_counts(2)
     assert (rc2.r, rc2.c, rc2.q) == (2, 0, 2)
-    assert rc2.local_as_dict() == {2: (2, 1)}
+    assert rc2.local == ((2, 2, 1),)
     rc1 = rep_counts(1)
     assert (rc1.r, rc1.c, rc1.q) == (1, 0, 1)
     assert rc1.local == ()

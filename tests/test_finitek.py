@@ -26,13 +26,13 @@ def test_case_labels():
 
 
 def test_rank_K_spot_values():
-    assert rank_K_cyclic(5, 1).value == 1   # the free rank of Wh(Z_5)
-    assert rank_K_cyclic(3, 0).value == 1
-    assert rank_K_cyclic(2, -1).value == 0
-    assert rank_K_cyclic(2, 7).value == 0   # c(Z_2) = 0
-    assert rank_K_cyclic(5, 5).value == 3   # r(Z_5)
-    assert rank_K_cyclic(5, 7).value == 2   # c(Z_5)
-    assert rank_K_cyclic(1, 5).value == 1   # K_5(Z) has rank one
+    assert rank_K_cyclic(5, 1) == 1   # the free rank of Wh(Z_5)
+    assert rank_K_cyclic(3, 0) == 1
+    assert rank_K_cyclic(2, -1) == 0
+    assert rank_K_cyclic(2, 7) == 0   # c(Z_2) = 0
+    assert rank_K_cyclic(5, 5) == 3   # r(Z_5)
+    assert rank_K_cyclic(5, 7) == 2   # c(Z_5)
+    assert rank_K_cyclic(1, 5) == 1   # K_5(Z) has rank one
 
 
 def test_rank_K_at_minus_one_matches_orbit_oracle():
@@ -41,36 +41,36 @@ def test_rank_K_at_minus_one_matches_orbit_oracle():
         expected = 1 - q_count(n) + sum(
             kp_formula(n, p) - rp_formula(n, p) for p in prime_divisors(n)
         )
-        assert rank_K_cyclic(n, -1).value == expected, n
+        assert rank_K_cyclic(n, -1) == expected, n
     # spot values: all orders occurring in real quadratic fields
-    values = {n: rank_K_cyclic(n, -1).value for n in (2, 3, 4, 5, 6)}
+    values = {n: rank_K_cyclic(n, -1) for n in (2, 3, 4, 5, 6)}
     assert values == {2: 0, 3: 0, 4: 0, 5: 0, 6: 1}
 
 
 def test_rank_K_periodicity_above_two():
     for n in (1, 2, 3, 4, 5, 6, 12):
         for q in range(3, 30):
-            assert rank_K_cyclic(n, q).value == rank_K_cyclic(n, q + 4).value
+            assert rank_K_cyclic(n, q) == rank_K_cyclic(n, q + 4)
 
 
 def test_rank_K_trivial_group_row():
     for q in range(-6, 3):
         expected = 1 if q == 0 else 0
-        assert rank_K_cyclic(1, q).value == expected, q
+        assert rank_K_cyclic(1, q) == expected, q
 
 
 def test_rank_K_zero_rows():
     for n in (2, 3, 4, 5, 6):
-        assert rank_K_cyclic(n, 2).value == 0
-        assert rank_K_cyclic(n, -2).value == 0
-        assert rank_K_cyclic(n, -7).value == 0
-        assert rank_K_cyclic(n, 4).value == 0
+        assert rank_K_cyclic(n, 2) == 0
+        assert rank_K_cyclic(n, -2) == 0
+        assert rank_K_cyclic(n, -7) == 0
+        assert rank_K_cyclic(n, 4) == 0
 
 
 def test_rank_K_q0_row_sums_to_m():
     # each class contributes exactly 1 at q = 0, so any class multiset sums to m
     counts = {2: 2, 3: 2, 5: 2}
-    total = sum(c * rank_K_cyclic(n, 0).value for n, c in counts.items())
+    total = sum(c * rank_K_cyclic(n, 0) for n, c in counts.items())
     assert total == sum(counts.values())
 
 

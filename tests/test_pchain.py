@@ -167,7 +167,7 @@ def test_absolute_psl_page():
         (TokenKind.H_BM, 5): 2,
     }
     assert page.column(2) == Counter()
-    assert page.max_column() == 1
+    assert max(page.columns) == 1
     assert page.d1_rationally_injective
 
 
@@ -179,7 +179,7 @@ def test_relative_psl_page_collapses_to_one_column():
         (TokenKind.WHITEHEAD, 3): 2,
         (TokenKind.WHITEHEAD, 5): 2,
     }
-    assert page.max_column() == 0
+    assert max(page.columns) == 0
 
 
 def test_relative_sl_page_equals_absolute_psl_page():

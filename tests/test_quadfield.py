@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbertmod import quadfield
 from hilbertmod.quadfield import (
     FieldSpec,
     OmegaKind,
@@ -198,11 +199,25 @@ def test_order_from_trace_rejects_non_elliptic():
 
 
 def test_order_table_agrees_with_minpoly_oracle():
-    for d in range(2, 200):
-        if not is_square_free(d):
-            continue
+    # Every d < 16 is covered, which by the module docstring's argument is
+    # every field with a candidate off the rational line.
+    for d in [d for d in range(2, 200) if is_square_free(d)] + [10007, 999983]:
         for c in elliptic_trace_candidates(FieldSpec(d)):
-            assert order_from_trace(c.trace) == order_by_minpoly(c.trace), (d, c.trace)
+            assert is_elliptic_trace(c.trace), (d, c.trace)
+            assert c.psl_order == order_from_trace(c.trace), (d, c.trace)
+            assert c.psl_order == order_by_minpoly(c.trace), (d, c.trace)
+
+
+def test_census_checks_each_candidate_once(monkeypatch):
+    calls = []
+
+    def counting(t, _inner=quadfield.is_elliptic_trace):
+        calls.append(t)
+        return _inner(t)
+
+    monkeypatch.setattr(quadfield, "is_elliptic_trace", counting)
+    assert len(elliptic_trace_candidates(FieldSpec(5))) == 7
+    assert len(calls) == 7
 
 
 # ---------------------------------------------------------------------------
