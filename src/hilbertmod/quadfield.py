@@ -28,10 +28,10 @@ and d < (4 - |x|)^2 then leaves x = +-1, d = 5: the keys (+-1, -4).  With
 |y| = 2, x is even and 4*d < (4 - |x|)^2 leaves x = 0, d in {2, 3}: the
 keys (0, -8) and (0, -12).  Those are the seven keys.
 
-Exact comparison of a + b*sqrt(d) with 0 is done by sign analysis and a
-single squaring step in :meth:`QuadElem.sign`; that method is the one
-place in the package where an irrational quantity is compared with a
-rational one.
+Integrality, ellipticity and order are decided in one place, on the pair
+(x, y) = (2a, 2b) of t = a + b*sqrt(d), by the two tests above: the census
+and every public predicate go through them, so no decision compares an
+irrational quantity with a rational one.
 """
 from __future__ import annotations
 
@@ -145,9 +145,6 @@ class QuadElem:
             self.field,
         )
 
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a, -self.b, self.field)
-
     def conjugate(self) -> "QuadElem":
         """Image under the second embedding: a + b*sqrt(d) -> a - b*sqrt(d)."""
         return QuadElem(self.a, -self.b, self.field)
@@ -165,8 +162,8 @@ class QuadElem:
 
         Case analysis on the signs of a and b; only in the mixed-sign case
         are both sides squared, which is valid because their signs are then
-        already known.  This is the single point where an irrational value
-        is compared against a rational bound.
+        already known.  No decision of the package rests on it: those are
+        made on (2a, 2b) by the integer tests of the module docstring.
         """
         a, b = self.a, self.b
         if b == 0:
@@ -187,9 +184,6 @@ class QuadElem:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __lt__(self, other: "QuadElem") -> bool:
-        return (self - other).sign() < 0
 
     def approx(self) -> float:
         """Floating approximation, for display only (never used in decisions)."""
@@ -212,16 +206,19 @@ class QuadElem:
 # Ring of integers and embeddings
 # ---------------------------------------------------------------------------
 
-def is_algebraic_integer(x: QuadElem) -> bool:
-    """Membership of x in Z + Z*omega, the ring of integers of the field.
+def _is_integral(x, y, d: int) -> bool:
+    """(x + y*sqrt(d))/2 lies in O_k: x, y are integers and 4 | x^2 - y^2*d."""
+    return x.denominator == y.denominator == 1 and (int(x) ** 2 - int(y) ** 2 * d) % 4 == 0
 
-    Equivalent to the trace 2a and the norm a^2 - d*b^2 both being rational
-    integers; the test suite cross-checks this equivalence.
-    """
-    if x.field.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
-        # u + v*omega has a = u + v/2, b = v/2: need 2b and a - b integral.
-        return (2 * x.b).denominator == 1 and (x.a - x.b).denominator == 1
-    return x.a.denominator == 1 and x.b.denominator == 1
+
+def _is_elliptic(x: int, y: int, d: int) -> bool:
+    """Both embeddings (x +- y*sqrt(d))/2 lie strictly inside (-2, 2)."""
+    return abs(x) < 4 and y * y * d < (4 - abs(x)) ** 2
+
+
+def is_algebraic_integer(x: QuadElem) -> bool:
+    """Membership of x in Z + Z*omega, the ring of integers, decided on (2a, 2b)."""
+    return _is_integral(2 * x.a, 2 * x.b, x.field.d)
 
 
 def embed(x: QuadElem, i: int) -> QuadElem:
@@ -238,20 +235,17 @@ def embed(x: QuadElem, i: int) -> QuadElem:
     raise ValueError(f"embedding index must be 1 or 2, got {i}")
 
 
-def _abs_less_than_2(x: QuadElem) -> bool:
-    two = x.field.element(2)
-    return -two < x < two
-
-
 def is_elliptic_trace(t: QuadElem) -> bool:
     """True if both embeddings of t lie strictly inside (-2, 2).
 
-    The input must be an algebraic integer of its field; anything else is a
+    Decided on (2a, 2b) by the integer tests of the module docstring.  The
+    input must be an algebraic integer of its field; anything else is a
     precondition violation and raises ValueError.
     """
-    if not is_algebraic_integer(t):
-        raise ValueError(f"{t} is not an algebraic integer of Q(sqrt({t.field.d}))")
-    return _abs_less_than_2(t) and _abs_less_than_2(t.conjugate())
+    x, y, d = 2 * t.a, 2 * t.b, t.field.d
+    if not _is_integral(x, y, d):
+        raise ValueError(f"{t} is not an algebraic integer of Q(sqrt({d}))")
+    return _is_elliptic(int(x), int(y), d)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +263,18 @@ _PSL_ORDER = {
 }
 
 
+def _order(x: int, y: int, d: int) -> int:
+    return _PSL_ORDER[(x, x * x - y * y * d)]
+
+
+def _elliptic_scan(d: int):
+    """Yield (x, y, PSL2 order) of each elliptic integral trace; |y| <= 2 as d >= 2."""
+    for x in range(-3, 4):
+        for y in range(-2, 3):
+            if _is_integral(x, y, d) and _is_elliptic(x, y, d):
+                yield x, y, _order(x, y, d)
+
+
 def order_from_trace(t: QuadElem) -> int:
     """Order in PSL2 of an elliptic element with trace t.
 
@@ -279,7 +285,7 @@ def order_from_trace(t: QuadElem) -> int:
     """
     if not is_elliptic_trace(t):
         raise ValueError(f"{t} is not an elliptic trace")
-    return _PSL_ORDER[(t.trace(), 4 * t.norm())]
+    return _order(int(2 * t.a), int(2 * t.b), t.field.d)
 
 
 @dataclass(frozen=True)
@@ -299,28 +305,21 @@ class TraceCandidate:
 def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
     """The complete finite set of elliptic algebraic-integer traces.
 
-    Scans t = (x + y*sqrt(d))/2 over |x| < 4, |y| <= 2, keeps the algebraic
-    integers with both embeddings strictly inside (-2, 2) by the integer
-    tests of the module docstring, and reads each order from the table by
-    the key (x, x^2 - y^2*d).  Candidates are returned sorted by (a, b),
-    which is the (x, y) order of the scan.
+    Each trace t = (x + y*sqrt(d))/2 of the integer scan, with its order
+    read from the table by the key (x, x^2 - y^2*d).  Candidates are
+    returned sorted by (a, b), which is the (x, y) order of the scan.
     """
-    d = field.d
-    found = []
-    for x in range(-3, 4):
-        for y in range(-2, 3):
-            norm4 = x * x - y * y * d
-            if norm4 % 4 == 0 and y * y * d < (4 - abs(x)) ** 2:
-                t = field.element(Fraction(x, 2), Fraction(y, 2))
-                found.append(TraceCandidate(t, _PSL_ORDER[(x, norm4)]))
-    return tuple(found)
+    return tuple(
+        TraceCandidate(field.element(Fraction(x, 2), Fraction(y, 2)), n)
+        for x, y, n in _elliptic_scan(field.d)
+    )
 
 
 def allowed_orders(field: FieldSpec) -> tuple[int, ...]:
     """Sorted set of finite element orders occurring in PSL2 of O_k.
 
-    Always contains 2 and 3 (traces 0 and +-1 are elliptic integers in
-    every real quadratic field); for quadratic fields the result is a
-    subset of {2, 3, 4, 5, 6}.
+    Read from the integer scan.  Always contains 2 and 3 (traces 0 and +-1
+    are elliptic integers in every real quadratic field); for quadratic
+    fields the result is a subset of {2, 3, 4, 5, 6}.
     """
-    return tuple(sorted({c.psl_order for c in elliptic_trace_candidates(field)}))
+    return tuple(sorted({n for _, _, n in _elliptic_scan(field.d)}))

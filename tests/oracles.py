@@ -5,9 +5,10 @@ the package implementation: character orbits instead of closed forms,
 orbit walks instead of divisor sums, form reduction and an a-outer scan
 instead of the b-outer divisor enumeration of reduced forms, a dense
 Warshall closure instead of up-sets grown by search, subset scans
-instead of chain extension along the order relation, and cyclotomic
-minimal polynomials instead of the order table of the trace census.  The
-implementations under test must agree with these.
+instead of chain extension along the order relation, cyclotomic minimal
+polynomials instead of the order table of the trace census, and the
+integral basis and exact signs of both embeddings instead of the integer
+tests on (2a, 2b).  The implementations under test must agree with these.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+from hilbertmod.quadfield import OmegaKind
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +339,23 @@ def order_by_minpoly(t, max_order: int = 30) -> int:
         if n % 2 == 1 and p == cos_angle_minpoly(n):
             return n
     raise ValueError(f"{t} matches no 2*cos(j*pi/n) with n <= {max_order}")
+
+
+# ---------------------------------------------------------------------------
+# Integrality and ellipticity by the integral basis and exact signs
+# ---------------------------------------------------------------------------
+
+def in_integral_basis(t) -> bool:
+    """t = a + b*sqrt(d) is u + v*omega with integers u, v."""
+    if t.field.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
+        # u + v*omega has a = u + v/2, b = v/2: need 2b and a - b integral.
+        return (2 * t.b).denominator == 1 and (t.a - t.b).denominator == 1
+    return t.a.denominator == 1 and t.b.denominator == 1
+
+
+def elliptic_by_sign(t) -> bool:
+    """-2 < sigma_i(t) < 2 for both embeddings, by the exact sign of
+    sigma_i(t) - 2 and sigma_i(t) + 2 (QuadElem.sign: sign analysis and
+    one squaring step)."""
+    two = t.field.element(2)
+    return all((s - two).sign() < 0 < (s + two).sign() for s in (t, t.conjugate()))

@@ -20,9 +20,17 @@ from hilbertmod.quadfield import (
     order_from_trace,
 )
 
-from oracles import cos_angle_minpoly, cyclotomic, order_by_minpoly, trace_minpoly
+from oracles import (
+    cos_angle_minpoly,
+    cyclotomic,
+    elliptic_by_sign,
+    in_integral_basis,
+    order_by_minpoly,
+    trace_minpoly,
+)
 
 SQUARE_FREE_D = [d for d in range(2, 60) if is_square_free(d)]
+CROSS_CHECK_D = [d for d in range(2, 200) if is_square_free(d)] + [10007, 999983, 999999999989]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,61 @@ def test_census_checks_each_candidate_once(monkeypatch):
     assert len(calls) == 7
 
 
+def test_census_and_orders_make_no_sign_calls(monkeypatch):
+    sign_calls, elliptic_calls = [], []
+
+    def counting_sign(self, _inner=quadfield.QuadElem.sign):
+        sign_calls.append(self)
+        return _inner(self)
+
+    def counting_elliptic(t, _inner=quadfield.is_elliptic_trace):
+        elliptic_calls.append(t)
+        return _inner(t)
+
+    monkeypatch.setattr(quadfield.QuadElem, "sign", counting_sign)
+    for d in (2, 3, 5, 10007):
+        elliptic_trace_candidates(FieldSpec(d))
+        allowed_orders(FieldSpec(d))
+        assert len(sign_calls) == 0, d
+    monkeypatch.setattr(quadfield, "is_elliptic_trace", counting_elliptic)
+    assert allowed_orders(FieldSpec(5)) == (2, 3, 5)
+    assert len(elliptic_calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# Integer tests against the integral basis and exact signs
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, t):
+    """The value of fn(t), or the text of the ValueError it raises."""
+    try:
+        return fn(t)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_predicates_agree_with_basis_and_sign_oracles():
+    # a = i/2, b = j/2 covers every elliptic trace with room to spare on
+    # both sides; the thirds are never integral.
+    halves = [(Fraction(i, 2), Fraction(j, 2)) for i in range(-9, 10) for j in range(-5, 6)]
+    thirds = [(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2, 3)),
+              (Fraction(1, 3), Fraction(1, 3)), (Fraction(-3, 2), Fraction(1, 3))]
+    for d in CROSS_CHECK_D:
+        f = FieldSpec(d)
+        for a, b in halves + thirds:
+            t = f.element(a, b)
+            integral = in_integral_basis(t)
+            if not integral:
+                elliptic = order = f"{t} is not an algebraic integer of Q(sqrt({d}))"
+            elif not elliptic_by_sign(t):
+                elliptic, order = False, f"{t} is not an elliptic trace"
+            else:
+                elliptic, order = True, order_by_minpoly(t)
+            assert is_algebraic_integer(t) == integral, (d, a, b)
+            assert _outcome(is_elliptic_trace, t) == elliptic, (d, a, b)
+            assert _outcome(order_from_trace, t) == order, (d, a, b)
+
+
 # ---------------------------------------------------------------------------
 # The candidate census
 # ---------------------------------------------------------------------------
@@ -263,7 +326,9 @@ def test_census_complete_against_wide_box_scan():
         for u in range(-10, 11):
             for v in range(-10, 11):
                 t = f.from_basis(u, v)
-                if is_elliptic_trace(t):
+                elliptic = elliptic_by_sign(t)
+                assert is_elliptic_trace(t) == elliptic, (d, u, v)
+                if elliptic:
                     brute.add((t.a, t.b))
         assert {(c.trace.a, c.trace.b) for c in elliptic_trace_candidates(f)} == brute, d
 
