@@ -24,6 +24,12 @@ times the p-cosets of Z/m, so
 
     k_p = (a+1) * r_p.
 
+Each ord_e(p) is found by exponent descent: start from phi(e), and for
+each prime r of phi(e) divide by r while p^(order/r) = 1 mod e.  Every
+phi(e) divides phi(m), so one factorization of phi(m) supplies the primes
+for all e, and an order costs a few modular powers instead of up to e
+steps of x -> x*p mod e.
+
 The test suite re-derives both counts by walking the orbits of an
 explicitly built multiplier group.
 """
@@ -49,7 +55,8 @@ __all__ = [
 ]
 
 
-# Largest group order accepted; ord_e(p) is found by a loop of up to n steps.
+# Largest group order accepted; it bounds the trial-division factorizations
+# of n and of q - 1 for each prime q | n that the counts rest on.
 MAX_ORDER = 10**7
 
 
@@ -129,12 +136,13 @@ def _p_cosets(m: int, p: int) -> int:
     for q, b in factorize(m).items():
         pairs += [(e * q**k, phi * (q - 1) * q ** (k - 1))
                   for e, phi in pairs for k in range(1, b + 1)]
+    phi_primes = factorize(pairs[-1][1])  # pairs[-1] = (m, phi(m)), and phi(e) | phi(m)
     total = 0
     for e, phi in pairs:
-        order, x = 1, p % e
-        while x != 1 % e:
-            x = x * p % e
-            order += 1
+        order = phi  # ord_e(p) divides phi(e); descend one prime at a time
+        for r in phi_primes:
+            while order % r == 0 and pow(p, order // r, e) == 1:
+                order //= r
         total += phi // order
     return total
 

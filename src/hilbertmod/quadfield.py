@@ -98,7 +98,7 @@ class FieldSpec:
 
     def element(self, a, b=0) -> "QuadElem":
         """The element a + b*sqrt(d) with rational a, b."""
-        return QuadElem(Fraction(a), Fraction(b), self)
+        return QuadElem(a, b, self)
 
     def from_basis(self, u: int, v: int) -> "QuadElem":
         """The algebraic integer u + v*omega."""
@@ -121,8 +121,10 @@ class QuadElem:
     field: FieldSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
 
     def _check_same_field(self, other: "QuadElem") -> None:
         if self.field != other.field:
@@ -310,7 +312,7 @@ def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
     returned sorted by (a, b), which is the (x, y) order of the scan.
     """
     return tuple(
-        TraceCandidate(field.element(Fraction(x, 2), Fraction(y, 2)), n)
+        TraceCandidate(QuadElem(Fraction(x, 2), Fraction(y, 2), field), n)
         for x, y, n in _elliptic_scan(field.d)
     )
 

@@ -2,8 +2,9 @@
 
 Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
-orbit walks instead of divisor sums, form reduction and an a-outer scan
-instead of the b-outer divisor enumeration of reduced forms, a dense
+orbit walks instead of divisor sums, form reduction, an a-outer scan and
+trial division of each (b^2 - D)/4 instead of the sieve over b that
+factors them all for the reduced-form enumeration, a dense
 Warshall closure instead of up-sets grown by search, subset scans
 instead of chain extension along the order relation, cyclotomic minimal
 polynomials instead of the order table of the trace census, and the
@@ -236,6 +237,22 @@ def reduced_forms_scan(D: int) -> list[tuple[int, int, int]]:
             if gcd(gcd(a, abs(b)), c) != 1:
                 continue
             forms.append((a, b, c))
+    return sorted(forms)
+
+
+def reduced_forms_trial_division(D: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms of discriminant D, sorted, grown from b as in
+    the package, but trying every a in [max(b, 1), sqrt(n)] as a divisor of
+    each n = (b^2 - D)/4."""
+    forms = []
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        n = (b * b - D) // 4
+        for a in range(max(b, 1), isqrt(n) + 1):
+            if n % a == 0 and gcd(a, b, n // a) == 1:
+                c = n // a
+                forms.append((a, b, c))
+                if 0 < b < a < c:
+                    forms.append((a, -b, c))
     return sorted(forms)
 
 

@@ -1,10 +1,23 @@
 """Class numbers by reduced-form enumeration, against a reduction oracle."""
 
+import random
+
 import pytest
 
-from hilbertmod.classnumbers import class_number, is_discriminant, reduced_forms
+from hilbertmod.classnumbers import (
+    _primes_up_to,
+    _sqrt_mod,
+    class_number,
+    is_discriminant,
+    reduced_forms,
+)
 
-from oracles import class_number_by_reduction, reduce_form, reduced_forms_scan
+from oracles import (
+    class_number_by_reduction,
+    reduce_form,
+    reduced_forms_scan,
+    reduced_forms_trial_division,
+)
 
 
 def test_spot_values():
@@ -57,3 +70,33 @@ def test_against_a_outer_scan():
     for D in [*range(-4000, -2), -100003, -400012, -100075]:
         if is_discriminant(D):
             assert reduced_forms(D) == reduced_forms_scan(D), D
+
+
+def test_sieve_against_trial_division():
+    # Seeded D up to 10^7 of both parities, D = -4m, the imprimitive
+    # -100075 = -25 * 4003, and -6537839, whose many small split primes give
+    # h = 3872.
+    rng = random.Random(20151)
+    odd = [-(4 * rng.randrange(1, 2_500_000) - 1) for _ in range(12)]
+    even = [-4 * rng.randrange(1, 2_500_000) for _ in range(12)]
+    small = [D for D in (-rng.randrange(3, 10**5) for _ in range(60)) if is_discriminant(D)]
+    for D in [*odd, *even, *small, -4 * 999983, -100075, -6537839]:
+        assert reduced_forms(D) == reduced_forms_trial_division(D), D
+    assert class_number(-6537839) == 3872
+
+
+def test_sqrt_mod_against_brute_force():
+    for p in _primes_up_to(2000)[1:]:
+        roots = {}
+        for s in range(1, p):
+            roots.setdefault(s * s % p, set()).add(s)
+        for a in range(1, p):
+            assert _sqrt_mod(a, p) in roots.get(a, {None}), (a, p)
+        assert _sqrt_mod(0, p) == 0
+
+
+def test_primes_up_to():
+    assert _primes_up_to(1) == []
+    assert _primes_up_to(2) == [2]
+    assert _primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert len(_primes_up_to(2000)) == 303

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, and the JSON envelope."""
 
+import hashlib
 import json
 import time
 
@@ -371,6 +372,41 @@ def test_classnum_just_inside_the_cap(capsys):
     assert elapsed < 5.0, elapsed
 
 
+# classnum --json bytes as the trial-division enumeration printed them: compact
+# JSON for the short answers, the SHA-256 of the bytes for the long ones.
+CLASSNUM_JSON_GOLDEN = {
+    -3: '{"command":"classnum","inputs":{"D":-3},"provenance":{"class_number":"computed",'
+        '"reduced_forms":"computed"},"result":{"D":-3,"class_number":1,"reduced_forms":[[1,1,1]]},'
+        '"schema_version":"1"}',
+    -4: '{"command":"classnum","inputs":{"D":-4},"provenance":{"class_number":"computed",'
+        '"reduced_forms":"computed"},"result":{"D":-4,"class_number":1,"reduced_forms":[[1,0,1]]},'
+        '"schema_version":"1"}',
+    -75: '{"command":"classnum","inputs":{"D":-75},"provenance":{"class_number":"computed",'
+         '"reduced_forms":"computed"},"result":{"D":-75,"class_number":2,'
+         '"reduced_forms":[[1,1,19],[3,3,7]]},"schema_version":"1"}',
+    -260: '{"command":"classnum","inputs":{"D":-260},"provenance":{"class_number":"computed",'
+          '"reduced_forms":"computed"},"result":{"D":-260,"class_number":8,'
+          '"reduced_forms":[[1,0,65],[2,2,33],[3,-2,22],[3,2,22],[5,0,13],[6,-2,11],[6,2,11],'
+          '[9,8,9]]},"schema_version":"1"}',
+}
+CLASSNUM_JSON_SHA256 = {
+    -3299: "28bdc4ceefdf71076c48609217e673a266184070f37985faad1576d1a25c5736",
+    -100075: "81801316b12d43afbc5ba361191cffa78843cfcf3494d5f3b966ebcfdb324e57",
+    -6537839: "887dff744c3e38a48ae3644cc7f7a98f14dc1dbec438594b5e7b6681078dd699",
+}
+
+
+def test_classnum_golden_bytes(capsys):
+    for D, compact in CLASSNUM_JSON_GOLDEN.items():
+        code, out, _ = run_cli(capsys, "classnum", str(D), "--json")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n", D
+    for D, digest in CLASSNUM_JSON_SHA256.items():
+        code, out, _ = run_cli(capsys, "classnum", str(D), "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, D
+
+
 @pytest.mark.parametrize("argv, limit", [
     (("classnum", "-1000000007"), "10^8"),
     (("field", "1000000000000000003"), "10^12"),
@@ -410,6 +446,19 @@ def test_reps_large_order_in_bounded_time(capsys):
     for p, local in payload["result"]["local"].items():
         assert local == {"k_p": kp_formula(1000000, int(p)), "r_p": rp_formula(1000000, int(p))}
     assert elapsed < 5.0, elapsed
+
+
+def test_ranks_large_order_q_minus_1_in_bounded_time(capsys):
+    # 9999926 = 2 * 4999963: each q = -1 degree needs ord_4999963(2), which
+    # exponent descent finds in a few modular powers.
+    n, degrees = 9999926, 8
+    start = time.monotonic()
+    payload = run_json(capsys, "ranks", "--classes", f"{n}:1", "--q=" + ",".join(["-1"] * degrees))
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, elapsed
+    # Carter's rank 1 - q(n) + sum over p | n of (k_p - r_p), where n has q(n) = 4 divisors.
+    expected = 1 - 4 + sum(kp_formula(n, p) - rp_formula(n, p) for p in (2, 4999963))
+    assert [row["value"] for row in payload["result"]["rows"]] == [expected] * degrees
 
 
 def test_chains_long_p_in_bounded_time(capsys):

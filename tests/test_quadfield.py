@@ -228,6 +228,21 @@ def test_census_checks_each_candidate_once(monkeypatch):
     assert len(calls) == 7
 
 
+def test_census_builds_each_candidates_fractions_once(monkeypatch):
+    calls = []
+
+    def counting(cls, *args, _inner=Fraction.__new__, **kwargs):
+        calls.append(args)
+        return _inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    candidates = elliptic_trace_candidates(FieldSpec(5))
+    monkeypatch.undo()
+    assert len(candidates) == 7
+    # a and b once each, and 2a, 2b in the candidate's one ellipticity check
+    assert len(calls) <= 4 * len(candidates), len(calls)
+
+
 def test_census_and_orders_make_no_sign_calls(monkeypatch):
     sign_calls, elliptic_calls = [], []
 
