@@ -62,13 +62,19 @@ class AbGroupExpr:
 
     # -- algebra -------------------------------------------------------------
 
+    @classmethod
+    def direct_sum(cls, parts) -> "AbGroupExpr":
+        """Direct sum of any number of expressions, canonicalized once."""
+        parts = tuple(parts)
+        return cls(
+            sum(p.free_rank for p in parts),
+            tuple(t for p in parts for t in p.torsion),
+            tuple(s for p in parts for s in p.symbolic),
+        )
+
     def __add__(self, other: "AbGroupExpr") -> "AbGroupExpr":
         """Direct sum."""
-        return AbGroupExpr(
-            self.free_rank + other.free_rank,
-            self.torsion + other.torsion,
-            self.symbolic + other.symbolic,
-        )
+        return AbGroupExpr.direct_sum((self, other))
 
     def scaled(self, k: int) -> "AbGroupExpr":
         """Direct sum of k copies of self."""

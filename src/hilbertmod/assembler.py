@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .abgroups import AbGroupExpr
+from .cyclicreps import MAX_ORDER
 from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
 from .finitek import rank_K_cyclic, wh_cyclic
 from .quadfield import FieldSpec, allowed_orders
@@ -93,6 +94,9 @@ class ClassCounts:
             raise ValueError("class counts must be >= 1")
         if len(set(orders)) != len(orders):
             raise ValueError("duplicate subgroup order in class counts")
+        too_big = [n for n in orders if n > MAX_ORDER]
+        if too_big:
+            raise ValueError(f"group order must be in [1, 10^7], got {too_big[0]}")
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -171,10 +175,8 @@ def whitehead_psl(g: GroupData, q: int) -> AbGroupExpr:
     """Wh_q of the projective group: direct sum of Wh_q(Z_n) over classes."""
     if g.mode is not Mode.PSL:
         raise ValueError("whitehead_psl needs PSL-mode group data")
-    total = AbGroupExpr.zero()
-    for n, count in g.class_counts.entries:
-        total = total + wh_cyclic(n, q).scaled(count)
-    return total
+    return AbGroupExpr.direct_sum(wh_cyclic(n, q).scaled(count)
+                                  for n, count in g.class_counts.entries)
 
 
 def whitehead_sl(g: GroupData, q: int) -> AbGroupExpr:

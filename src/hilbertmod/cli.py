@@ -15,6 +15,10 @@ byte-stable under re-parsing.  Every numeric result carries a provenance
 tag: "paper-table" for values taken from the built-in published tables,
 "computed" for everything derived here.
 
+Subcommands return (result, provenance, lines) and ``main`` alone builds
+the envelope; its ``inputs`` echo the parsed arguments other than
+``--json``, with the ``ranks`` degrees as a list of integers.
+
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and the orders
 in ``--classes``), |D| <= 10^8 for ``classnum``, m <= 10^4 maximal classes
@@ -66,24 +70,6 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
 
 
-def _envelope(command: str, inputs: dict, result: dict, provenance: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "provenance": provenance,
-    }
-
-
-def _emit(args, envelope: dict, lines: list[str]) -> int:
-    if args.json:
-        print(canonical_json(envelope))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
-
-
 def _parse_q_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -107,7 +93,7 @@ def _group_inputs(args) -> tuple[ClassCounts, FieldSpec | str, str]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_field(args) -> int:
+def _cmd_field(args) -> tuple[dict, dict, list[str]]:
     field = FieldSpec(args.d)
     candidates = elliptic_trace_candidates(field)
     orders = allowed_orders(field)
@@ -130,51 +116,41 @@ def _cmd_field(args) -> int:
         cand_payload.append(entry)
         lines.append(line)
     lines.append("allowed orders: " + ", ".join(str(n) for n in orders))
-    envelope = _envelope(
-        "field",
-        {"d": args.d, "approx": bool(args.approx)},
-        {
-            "d": field.d,
-            "omega": field.omega_str(),
-            "integral_basis": ["1", field.omega_str()],
-            "trace_candidates": cand_payload,
-            "allowed_orders": list(orders),
-        },
-        {"trace_candidates": "computed", "allowed_orders": "computed"},
-    )
-    return _emit(args, envelope, lines)
+    result = {
+        "d": field.d,
+        "omega": field.omega_str(),
+        "integral_basis": ["1", field.omega_str()],
+        "trace_candidates": cand_payload,
+        "allowed_orders": list(orders),
+    }
+    return result, {"trace_candidates": "computed", "allowed_orders": "computed"}, lines
 
 
-def _cmd_ranks(args) -> int:
+def _cmd_ranks(args) -> tuple[dict, dict, list[str]]:
     counts, source, counts_tag = _group_inputs(args)
     g = GroupData(source=source, class_counts=counts, mode=Mode.PSL)
-    qs = _parse_q_list(args.q)
+    args.q = _parse_q_list(args.q)  # the inputs echo lists the parsed degrees
     rows = []
     label = g.label()
     lines = [
         f"{label}: m = {counts.m} conjugacy classes "
         f"({', '.join(f'{n}:{c}' for n, c in counts.entries)})"
     ]
-    for q in qs:
+    for q in args.q:
         value = rank_diff(g, q)
         case = rank_case(q).value
         rows.append({"q": q, "value": value, "case": case})
         lines.append(f"q={q:<4d} {value:<6d} ({case})")
-    envelope = _envelope(
-        "ranks",
-        {"d": args.d, "classes": args.classes, "q": qs},
-        {
-            "group": label,
-            "class_counts": {str(n): c for n, c in counts.entries},
-            "m": counts.m,
-            "rows": rows,
-        },
-        {"class_counts": counts_tag, "m": counts_tag, "rows": "computed"},
-    )
-    return _emit(args, envelope, lines)
+    result = {
+        "group": label,
+        "class_counts": {str(n): c for n, c in counts.entries},
+        "m": counts.m,
+        "rows": rows,
+    }
+    return result, {"class_counts": counts_tag, "m": counts_tag, "rows": "computed"}, lines
 
 
-def _cmd_whitehead(args) -> int:
+def _cmd_whitehead(args) -> tuple[dict, dict, list[str]]:
     counts, source, counts_tag = _group_inputs(args)
     mode = Mode(args.mode)
     ab = None
@@ -191,73 +167,54 @@ def _cmd_whitehead(args) -> int:
         expr = whitehead_sl(g, args.q)
     label = g.label()
     lines = [f"Wh_{args.q} of {mode.value.upper()}2(O_k), k = {label}: {expr.render()}"]
-    envelope = _envelope(
-        "whitehead",
-        {"d": args.d, "classes": args.classes, "mode": mode.value,
-         "q": args.q, "ab": args.ab},
-        {
-            "group": label,
-            "mode": mode.value,
-            "q": args.q,
-            "whitehead": expr.to_json(),
-            "abelianization": ab.to_json() if ab is not None else None,
-        },
-        {"whitehead": "computed", "class_counts": counts_tag,
-         "abelianization": ab_tag},
-    )
-    return _emit(args, envelope, lines)
+    result = {
+        "group": label,
+        "mode": mode.value,
+        "q": args.q,
+        "whitehead": expr.to_json(),
+        "abelianization": ab.to_json() if ab is not None else None,
+    }
+    provenance = {"whitehead": "computed", "class_counts": counts_tag,
+                  "abelianization": ab_tag}
+    return result, provenance, lines
 
 
-def _cmd_reps(args) -> int:
+def _cmd_reps(args) -> tuple[dict, dict, list[str]]:
     rc = rep_counts(args.n)
     lines = [f"Z_{rc.n}: r={rc.r} c={rc.c} q={rc.q}"]
     for p, kp, rp in rc.local:
         lines.append(f"  p={p}: k_p={kp} r_p={rp}")
-    envelope = _envelope(
-        "reps",
-        {"n": args.n},
-        {
-            "n": rc.n,
-            "r": rc.r,
-            "c": rc.c,
-            "q": rc.q,
-            "local": {str(p): {"k_p": kp, "r_p": rp} for p, kp, rp in rc.local},
-        },
-        {"r": "computed", "c": "computed", "q": "computed", "local": "computed"},
-    )
-    return _emit(args, envelope, lines)
+    result = {
+        "n": rc.n,
+        "r": rc.r,
+        "c": rc.c,
+        "q": rc.q,
+        "local": {str(p): {"k_p": kp, "r_p": rp} for p, kp, rp in rc.local},
+    }
+    provenance = {"r": "computed", "c": "computed", "q": "computed", "local": "computed"}
+    return result, provenance, lines
 
 
-def _cmd_classnum(args) -> int:
+def _cmd_classnum(args) -> tuple[dict, dict, list[str]]:
     forms = reduced_forms(args.D)
     h = len(forms)
     lines = [
         f"h({args.D}) = {h}",
         "reduced forms: " + ", ".join(str(f) for f in forms),
     ]
-    envelope = _envelope(
-        "classnum",
-        {"D": args.D},
-        {"D": args.D, "class_number": h, "reduced_forms": [list(f) for f in forms]},
-        {"class_number": "computed", "reduced_forms": "computed"},
-    )
-    return _emit(args, envelope, lines)
+    result = {"D": args.D, "class_number": h, "reduced_forms": [list(f) for f in forms]}
+    return result, {"class_number": "computed", "reduced_forms": "computed"}, lines
 
 
-def _cmd_chains(args) -> int:
+def _cmd_chains(args) -> tuple[dict, dict, list[str]]:
     factory = psl_poset if args.poset == "psl" else sl_poset
     poset = factory(args.m)
     chains = enumerate_pchains(poset, args.p)
     lines = [f"{args.poset} poset with m={args.m}: {len(chains)} chains at p={args.p}"]
     for chain in chains:
         lines.append("  " + " < ".join(chain.nodes))
-    envelope = _envelope(
-        "chains",
-        {"poset": args.poset, "m": args.m, "p": args.p},
-        {"count": len(chains), "chains": [list(c.nodes) for c in chains]},
-        {"count": "computed", "chains": "computed"},
-    )
-    return _emit(args, envelope, lines)
+    result = {"count": len(chains), "chains": [list(c.nodes) for c in chains]}
+    return result, {"count": "computed", "chains": "computed"}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("d", type=int, help="square-free integer in [2, 10^12]")
     p_field.add_argument("--approx", action="store_true",
                          help="also print decimal approximations (approximate!)")
-    p_field.add_argument("--json", action="store_true")
     p_field.set_defaults(func=_cmd_field)
 
     p_ranks = sub.add_parser("ranks", help="rank differences per degree q")
@@ -285,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ranks.add_argument("--q", required=True,
                          help="comma-separated degrees; write --q=-1,7 when the list "
                               "starts with a negative degree")
-    p_ranks.add_argument("--json", action="store_true")
     p_ranks.set_defaults(func=_cmd_ranks)
 
     p_wh = sub.add_parser("whitehead", help="Whitehead group expression")
@@ -295,17 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_wh.add_argument("--q", type=int, required=True)
     p_wh.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" '
                                    'or "0"; at most 10^4 torsion summands')
-    p_wh.add_argument("--json", action="store_true")
     p_wh.set_defaults(func=_cmd_whitehead)
 
     p_reps = sub.add_parser("reps", help="representation counts of Z_n")
     p_reps.add_argument("n", type=int)
-    p_reps.add_argument("--json", action="store_true")
     p_reps.set_defaults(func=_cmd_reps)
 
     p_cn = sub.add_parser("classnum", help="class number of a discriminant D < 0")
     p_cn.add_argument("D", type=int)
-    p_cn.add_argument("--json", action="store_true")
     p_cn.set_defaults(func=_cmd_classnum)
 
     p_ch = sub.add_parser("chains", help="chain census of an orbit poset")
@@ -313,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--m", type=int, required=True,
                       help="number of maximal conjugacy classes, at most 10^4")
     p_ch.add_argument("--p", type=int, required=True, help="chain length index")
-    p_ch.add_argument("--json", action="store_true")
     p_ch.set_defaults(func=_cmd_chains)
 
+    for p_cmd in sub.choices.values():
+        p_cmd.add_argument("--json", action="store_true")
     return parser
 
 
@@ -323,14 +276,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result, provenance, lines = args.func(args)
+        if args.json:
+            inputs = {k: v for k, v in vars(args).items()
+                      if k not in ("command", "func", "json")}
+            print(canonical_json({
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "inputs": inputs,
+                "result": result,
+                "provenance": provenance,
+            }))
+        else:
+            print("\n".join(lines))
+        return EXIT_OK
     except MissingClassDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_CLASS_DATA
     except MissingAbelianizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_ABELIANIZATION
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -15,6 +15,7 @@ from hilbertmod.cli import (
     canonical_json,
     main,
 )
+from hilbertmod.finitek import rank_K_cyclic
 
 from oracles import kp_formula, rp_formula
 
@@ -415,6 +416,8 @@ def test_classnum_golden_bytes(capsys):
     (("chains", "--poset", "sl", "--m", "10001", "--p", "1"), "10^4"),
     (("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1",
       "--ab", "1000000000*Z/2", "--json"), "10^4"),
+    (("ranks", "--classes", "2000000014:1", "--q", "0"), "10^7"),
+    (("whitehead", "--classes", "2000000014:1", "--q", "2"), "10^7"),
 ])
 def test_input_caps_exit_2_naming_the_limit(capsys, argv, limit):
     start = time.monotonic()
@@ -459,6 +462,22 @@ def test_ranks_large_order_q_minus_1_in_bounded_time(capsys):
     # Carter's rank 1 - q(n) + sum over p | n of (k_p - r_p), where n has q(n) = 4 divisors.
     expected = 1 - 4 + sum(kp_formula(n, p) - rp_formula(n, p) for p in (2, 4999963))
     assert [row["value"] for row in payload["result"]["rows"]] == [expected] * degrees
+
+
+def test_whitehead_many_classes_in_bounded_time(capsys):
+    # One class of each order 2..5999: the direct sum is canonicalized once,
+    # not once per class.
+    orders = range(2, 6000)
+    classes = ",".join(f"{n}:1" for n in orders)
+    for q in (1, -1):
+        start = time.monotonic()
+        payload = run_json(capsys, "whitehead", "--classes", classes, "--q", str(q))
+        elapsed = time.monotonic() - start
+        assert elapsed < 5.0, (q, elapsed)
+        wh = payload["result"]["whitehead"]
+        assert wh["free_rank"] == sum(rank_K_cyclic(n, q) for n in orders), q
+        # one symbolic summand per class: SK1(Z_n) for n > 6 at q = 1, K-1tors(Z_n) at q = -1
+        assert len(wh["symbolic"]) == len(orders) - (5 if q == 1 else 0), q
 
 
 def test_chains_long_p_in_bounded_time(capsys):
@@ -721,6 +740,162 @@ def test_chains_golden_bytes(capsys):
         code, out, _ = run_cli(capsys, "chains", "--poset", poset, "--m", str(m), "--p", str(p))
         assert code == EXIT_OK
         assert out == text, (poset, m, p)
+
+
+# ---------------------------------------------------------------------------
+# ranks, whitehead and reps goldens: stdout bytes pinned, plain and --json,
+# for built-in and --classes inputs and an --ab input.
+# ---------------------------------------------------------------------------
+
+COMMAND_JSON_GOLDEN = {
+    ("ranks", "5", "--q", "1,2,3,5,7,9,-1,0"): (
+        '{"command":"ranks","inputs":{"classes":null,"d":5,"q":[1,2,3,5,7,9,-1,0]}'
+        ',"provenance":{"class_counts":"paper-table","m":"paper-table"'
+        ',"rows":"computed"},"result":{"class_counts":{"2":2,"3":2'
+        ',"5":2},"group":"Q(sqrt(5))","m":6,"rows":[{"case":"q=1"'
+        ',"q":1,"value":2},{"case":"otherwise","q":2,"value":0}'
+        ',{"case":"q>2, q=3 mod 4","q":3,"value":6},{"case":"q>2, q=1 mod 4"'
+        ',"q":5,"value":8},{"case":"q>2, q=3 mod 4","q":7,"value":6}'
+        ',{"case":"q>2, q=1 mod 4","q":9,"value":8},{"case":"q=-1"'
+        ',"q":-1,"value":0},{"case":"q=0","q":0,"value":0}]},"schema_version":"1"}'
+    ),
+    ("ranks", "--classes", "2:1,3:1,4:2,6:1", "--q=-1,0,1,3,5"): (
+        '{"command":"ranks","inputs":{"classes":"2:1,3:1,4:2,6:1"'
+        ',"d":null,"q":[-1,0,1,3,5]},"provenance":{"class_counts":"computed"'
+        ',"m":"computed","rows":"computed"},"result":{"class_counts":{"2":1'
+        ',"3":1,"4":2,"6":1},"group":"generic","m":5,"rows":[{"case":"q=-1"'
+        ',"q":-1,"value":1},{"case":"q=0","q":0,"value":0},{"case":"q=1"'
+        ',"q":1,"value":0},{"case":"q>2, q=3 mod 4","q":3,"value":5}'
+        ',{"case":"q>2, q=1 mod 4","q":5,"value":9}]},"schema_version":"1"}'
+    ),
+    ("ranks", "--classes", "7:3,12:1", "--q", "5,7"): (
+        '{"command":"ranks","inputs":{"classes":"7:3,12:1","d":null'
+        ',"q":[5,7]},"provenance":{"class_counts":"computed","m":"computed"'
+        ',"rows":"computed"},"result":{"class_counts":{"12":1'
+        ',"7":3},"group":"generic","m":4,"rows":[{"case":"q>2, q=1 mod 4"'
+        ',"q":5,"value":15},{"case":"q>2, q=3 mod 4","q":7,"value":14}]}'
+        ',"schema_version":"1"}'
+    ),
+    ("whitehead", "5", "--mode", "sl", "--q", "1"): (
+        '{"command":"whitehead","inputs":{"ab":null,"classes":null'
+        ',"d":5,"mode":"sl","q":1},"provenance":{"abelianization":"paper-table"'
+        ',"class_counts":"paper-table","whitehead":"computed"}'
+        ',"result":{"abelianization":{"free_rank":0,"render":"0"'
+        ',"symbolic":[],"torsion":[]},"group":"Q(sqrt(5))","mode":"sl"'
+        ',"q":1,"whitehead":{"free_rank":2,"render":"Z^2 + Z/2"'
+        ',"symbolic":[],"torsion":[2]}},"schema_version":"1"}'
+    ),
+    ("whitehead", "--classes", "2:2,3:2,7:1,12:2", "--q", "1"): (
+        '{"command":"whitehead","inputs":{"ab":null,"classes":"2:2,3:2,7:1,12:2"'
+        ',"d":null,"mode":"psl","q":1},"provenance":{"abelianization":"computed"'
+        ',"class_counts":"computed","whitehead":"computed"},"result":{"abelianization":null'
+        ',"group":"generic","mode":"psl","q":1,"whitehead":{"free_rank":4'
+        ',"render":"Z^4 + 2*SK1(Z_12) + SK1(Z_7)","symbolic":[{"multiplicity":2'
+        ',"token":"SK1(Z_12)"},{"multiplicity":1,"token":"SK1(Z_7)"}]'
+        ',"torsion":[]}},"schema_version":"1"}'
+    ),
+    ("whitehead", "--classes", "2:2,3:2,7:1,12:2", "--q", "-1"): (
+        '{"command":"whitehead","inputs":{"ab":null,"classes":"2:2,3:2,7:1,12:2"'
+        ',"d":null,"mode":"psl","q":-1},"provenance":{"abelianization":"computed"'
+        ',"class_counts":"computed","whitehead":"computed"},"result":{"abelianization":null'
+        ',"group":"generic","mode":"psl","q":-1,"whitehead":{"free_rank":4'
+        ',"render":"Z^4 + 2*K-1tors(Z_12) + 2*K-1tors(Z_2) + 2*K-1tors(Z_3) + K-1tors(Z_7)"'
+        ',"symbolic":[{"multiplicity":2,"token":"K-1tors(Z_12)"}'
+        ',{"multiplicity":2,"token":"K-1tors(Z_2)"},{"multiplicity":2'
+        ',"token":"K-1tors(Z_3)"},{"multiplicity":1,"token":"K-1tors(Z_7)"}]'
+        ',"torsion":[]}},"schema_version":"1"}'
+    ),
+    ("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1", "--ab", "Z^2 + 3*Z/2"): (
+        '{"command":"whitehead","inputs":{"ab":"Z^2 + 3*Z/2","classes":"2:1,3:1"'
+        ',"d":null,"mode":"sl","q":1},"provenance":{"abelianization":"computed"'
+        ',"class_counts":"computed","whitehead":"computed"}'
+        ',"result":{"abelianization":{"free_rank":2'
+        ',"render":"Z^2 + 3*Z/2","symbolic":[],"torsion":[2,2,2]}'
+        ',"group":"generic","mode":"sl","q":1,"whitehead":{"free_rank":2'
+        ',"render":"Z^2 + 4*Z/2","symbolic":[],"torsion":[2,2,2,2]}}'
+        ',"schema_version":"1"}'
+    ),
+    ("reps", "1"): (
+        '{"command":"reps","inputs":{"n":1},"provenance":{"c":"computed"'
+        ',"local":"computed","q":"computed","r":"computed"},"result":{"c":0'
+        ',"local":{},"n":1,"q":1,"r":1},"schema_version":"1"}'
+    ),
+    ("reps", "12"): (
+        '{"command":"reps","inputs":{"n":12},"provenance":{"c":"computed"'
+        ',"local":"computed","q":"computed","r":"computed"},"result":{"c":5'
+        ',"local":{"2":{"k_p":6,"r_p":2},"3":{"k_p":6,"r_p":3}}'
+        ',"n":12,"q":6,"r":7},"schema_version":"1"}'
+    ),
+    ("reps", "360"): (
+        '{"command":"reps","inputs":{"n":360},"provenance":{"c":"computed"'
+        ',"local":"computed","q":"computed","r":"computed"},"result":{"c":179'
+        ',"local":{"2":{"k_p":32,"r_p":8},"3":{"k_p":39,"r_p":13}'
+        ',"5":{"k_p":44,"r_p":22}},"n":360,"q":24,"r":181},"schema_version":"1"}'
+    ),
+}
+COMMAND_PLAIN_GOLDEN = {
+    ("ranks", "5", "--q", "1,2,3,5,7,9,-1,0"): """\
+Q(sqrt(5)): m = 6 conjugacy classes (2:2, 3:2, 5:2)
+q=1    2      (q=1)
+q=2    0      (otherwise)
+q=3    6      (q>2, q=3 mod 4)
+q=5    8      (q>2, q=1 mod 4)
+q=7    6      (q>2, q=3 mod 4)
+q=9    8      (q>2, q=1 mod 4)
+q=-1   0      (q=-1)
+q=0    0      (q=0)
+""",
+    ("ranks", "--classes", "2:1,3:1,4:2,6:1", "--q=-1,0,1,3,5"): """\
+generic: m = 5 conjugacy classes (2:1, 3:1, 4:2, 6:1)
+q=-1   1      (q=-1)
+q=0    0      (q=0)
+q=1    0      (q=1)
+q=3    5      (q>2, q=3 mod 4)
+q=5    9      (q>2, q=1 mod 4)
+""",
+    ("ranks", "--classes", "7:3,12:1", "--q", "5,7"): """\
+generic: m = 4 conjugacy classes (7:3, 12:1)
+q=5    15     (q>2, q=1 mod 4)
+q=7    14     (q>2, q=3 mod 4)
+""",
+    ("whitehead", "5", "--mode", "sl", "--q", "1"): """\
+Wh_1 of SL2(O_k), k = Q(sqrt(5)): Z^2 + Z/2
+""",
+    ("whitehead", "--classes", "2:2,3:2,7:1,12:2", "--q", "1"): """\
+Wh_1 of PSL2(O_k), k = generic: Z^4 + 2*SK1(Z_12) + SK1(Z_7)
+""",
+    ("whitehead", "--classes", "2:2,3:2,7:1,12:2", "--q", "-1"): """\
+Wh_-1 of PSL2(O_k), k = generic: Z^4 + 2*K-1tors(Z_12) + 2*K-1tors(Z_2) + 2*K-1tors(Z_3) + K-1tors(Z_7)
+""",
+    ("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1", "--ab", "Z^2 + 3*Z/2"): """\
+Wh_1 of SL2(O_k), k = generic: Z^2 + 4*Z/2
+""",
+    ("reps", "1"): """\
+Z_1: r=1 c=0 q=1
+""",
+    ("reps", "12"): """\
+Z_12: r=7 c=5 q=6
+  p=2: k_p=6 r_p=2
+  p=3: k_p=6 r_p=3
+""",
+    ("reps", "360"): """\
+Z_360: r=181 c=179 q=24
+  p=2: k_p=32 r_p=8
+  p=3: k_p=39 r_p=13
+  p=5: k_p=44 r_p=22
+""",
+}
+
+
+def test_ranks_whitehead_reps_golden_bytes(capsys):
+    for argv, compact in COMMAND_JSON_GOLDEN.items():
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n", argv
+    for argv, text in COMMAND_PLAIN_GOLDEN.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == text, argv
 
 
 # ---------------------------------------------------------------------------
