@@ -14,31 +14,31 @@ applied: Z/6 and Z/2 + Z/3 are distinct expressions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = ["MAX_TORSION_SUMMANDS", "AbGroupExpr"]
 
 MAX_TORSION_SUMMANDS = 10**4  # cyclic summands one parsed expression may list
 
 
-@dataclass(frozen=True)
-class AbGroupExpr:
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
-    symbolic: tuple[tuple[str, int], ...] = ()
+class AbGroupExpr(Record):
+    __slots__ = ("free_rank", "torsion", "symbolic")
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = (),
+                 symbolic: tuple[tuple[str, int], ...] = ()) -> None:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tor = tuple(sorted(int(t) for t in self.torsion))
+        tor = tuple(sorted(int(t) for t in torsion))
         if any(t < 2 for t in tor):
             raise ValueError("torsion orders must be >= 2")
         merged: Counter = Counter()
-        for token, mult in self.symbolic:
+        for token, mult in symbolic:
             if mult < 0:
                 raise ValueError("symbolic multiplicities must be nonnegative")
             merged[str(token)] += int(mult)
         sym = tuple(sorted((t, m) for t, m in merged.items() if m > 0))
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", tor)
         object.__setattr__(self, "symbolic", sym)
 
@@ -77,12 +77,15 @@ class AbGroupExpr:
         return AbGroupExpr.direct_sum((self, other))
 
     def scaled(self, k: int) -> "AbGroupExpr":
-        """Direct sum of k copies of self."""
+        """Direct sum of k copies of self; at most 10^4 torsion summands."""
         if k < 0:
             raise ValueError("multiplicity must be nonnegative")
+        if self.torsion and k * len(self.torsion) > MAX_TORSION_SUMMANDS:
+            raise ValueError(f"at most 10^4 torsion summands are supported, "
+                             f"{k} copies of {self} have more")
         return AbGroupExpr(
             self.free_rank * k,
-            self.torsion * k,
+            self.torsion * k if self.torsion else (),
             tuple((t, m * k) for t, m in self.symbolic),
         )
 

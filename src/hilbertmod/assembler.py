@@ -27,9 +27,9 @@ supplied explicitly rather than silently derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 
+from ._record import Record
 from .abgroups import AbGroupExpr
 from .cyclicreps import MAX_ORDER
 from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
@@ -79,14 +79,13 @@ BUILTIN_CLASS_COUNTS: dict[int, dict[int, int]] = {5: {2: 2, 3: 2, 5: 2}}
 PERFECT_FIELDS = frozenset({5})
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(Record):
     """Conjugacy classes of maximal finite subgroups: order -> class count."""
 
-    entries: tuple[tuple[int, int], ...]  # (cyclic order, count), ascending order
+    __slots__ = ("entries",)  # (cyclic order, count), ascending order
 
-    def __post_init__(self) -> None:
-        entries = tuple(sorted((int(n), int(c)) for n, c in self.entries))
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        entries = tuple(sorted((int(n), int(c)) for n, c in entries))
         orders = [n for n, _ in entries]
         if any(n < 2 for n in orders):
             raise ValueError("maximal finite subgroup orders must be >= 2")
@@ -125,8 +124,7 @@ class ClassCounts:
         return sum(c for _, c in self.entries)
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(Record):
     """(P)SL2 input data: where it came from, its class counts, and mode.
 
     In SL mode the central order-2 subgroup is implicit; ``class_counts``
@@ -135,20 +133,22 @@ class GroupData:
     against the orders that elliptic elements of the field actually allow.
     """
 
-    source: FieldSpec | str
-    class_counts: ClassCounts
-    mode: Mode = Mode.PSL
-    abelianization: AbGroupExpr | None = None
+    __slots__ = ("source", "class_counts", "mode", "abelianization")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.source, FieldSpec):
-            legal = set(allowed_orders(self.source))
-            claimed = {n for n, _ in self.class_counts.entries}
+    def __init__(self, source: FieldSpec | str, class_counts: ClassCounts,
+                 mode: Mode = Mode.PSL, abelianization: AbGroupExpr | None = None) -> None:
+        if isinstance(source, FieldSpec):
+            legal = set(allowed_orders(source))
+            claimed = {n for n, _ in class_counts.entries}
             if not claimed <= legal:
                 raise ValueError(
                     f"orders {sorted(claimed - legal)} cannot occur in "
-                    f"PSL2 of Q(sqrt({self.source.d})); allowed: {sorted(legal)}"
+                    f"PSL2 of Q(sqrt({source.d})); allowed: {sorted(legal)}"
                 )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "class_counts", class_counts)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "abelianization", abelianization)
 
     def label(self) -> str:
         if isinstance(self.source, FieldSpec):
@@ -190,7 +190,7 @@ def whitehead_sl(g: GroupData, q: int) -> AbGroupExpr:
         raise ValueError("whitehead_sl needs SL-mode group data")
     if q > 1:
         raise ValueError("Wh_q of the non-projective group is only determined for q <= 1")
-    psl_view = replace(g, mode=Mode.PSL)
+    psl_view = GroupData(g.source, g.class_counts, Mode.PSL, g.abelianization)
     if q == 1:
         if g.abelianization is None:
             raise MissingAbelianizationError(

@@ -32,7 +32,6 @@ Exit codes: 0 success, 2 invalid input, 3 missing class data,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .abgroups import AbGroupExpr
@@ -67,6 +66,7 @@ EXIT_MISSING_ABELIANIZATION = 4
 
 def canonical_json(payload) -> str:
     """Canonical serialization: reparsing and re-rendering is byte-identical."""
+    import json  # on first use: no plain-text command needs it
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
 
 

@@ -36,8 +36,9 @@ explicitly built multiplier group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+
+from ._record import Record
 
 __all__ = [
     "MAX_ORDER",
@@ -166,16 +167,19 @@ def rp_count(n: int, p: int) -> int:
     return _p_cosets(n // p ** factorize(n).get(p, 0), p)
 
 
-@dataclass(frozen=True)
-class RepCounts:
+class RepCounts(Record):
     """All five counts for one cyclic group, with the per-prime table
     covering exactly the primes dividing n."""
 
-    n: int
-    r: int
-    c: int
-    q: int
-    local: tuple[tuple[int, int, int], ...]  # (p, k_p, r_p), ascending p
+    __slots__ = ("n", "r", "c", "q", "local")  # local: (p, k_p, r_p), ascending p
+
+    def __init__(self, n: int, r: int, c: int, q: int,
+                 local: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "local", local)
 
 
 def rep_counts(n: int) -> RepCounts:

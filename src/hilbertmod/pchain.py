@@ -26,11 +26,10 @@ H_q(BM) -> K_q(Z[M]) that are rationally injective; the class constant
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar
 
 from . import finitek
+from ._record import Record
 from .assembler import ClassCounts
 
 __all__ = [
@@ -63,10 +62,12 @@ class NodeKind(Enum):
     MAXIMAL = "maximal"
 
 
-@dataclass(frozen=True)
-class NodeTag:
-    kind: NodeKind
-    order: int | None = None  # cyclic order of the subgroup for MAXIMAL
+class NodeTag(Record):
+    __slots__ = ("kind", "order")  # order: cyclic order of the subgroup for MAXIMAL
+
+    def __init__(self, kind: NodeKind, order: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
 
 
 class OrbitPoset:
@@ -112,11 +113,13 @@ class OrbitPoset:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A strictly increasing sequence of p+1 node labels (a p-chain)."""
 
-    nodes: tuple[str, ...]
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[str, ...]) -> None:
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def p(self) -> int:
@@ -155,26 +158,34 @@ class TokenKind(Enum):
     WHITEHEAD = "Whq(M)"
 
 
-@dataclass(frozen=True)
-class CoeffToken:
+class CoeffToken(Record):
     """A tagged coefficient atom; ``order`` is the cyclic order of M."""
 
-    kind: TokenKind
-    order: int | None = None
+    __slots__ = ("kind", "order")
+
+    def __init__(self, kind: TokenKind, order: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
 
 
-@dataclass
-class E1Page:
+class E1Page(Record):
     """Column index -> formal sum of coefficient tokens (with multiplicity).
 
     Columns that index no chains are simply absent and read back as the
     zero sum.  The class constant ``d1_rationally_injective`` records that
     the assembly maps feeding column 0 are rationally injective, so ranks
-    of the abutment can be read off by subtracting column ranks.
+    of the abutment can be read off by subtracting column ranks.  Unlike
+    the other records, a page is filled in place and so is unhashable.
     """
 
-    columns: dict = field(default_factory=dict)
-    d1_rationally_injective: ClassVar[bool] = True
+    __slots__ = ("columns",)
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    d1_rationally_injective = True
+
+    def __init__(self, columns: dict | None = None) -> None:
+        self.columns = {} if columns is None else columns
 
     def column(self, p: int) -> Counter:
         return self.columns.get(p, Counter())

@@ -36,10 +36,10 @@ irrational quantity with a rational one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .cyclicreps import prime_powers
 
 __all__ = [
@@ -74,15 +74,15 @@ def is_square_free(n: int) -> bool:
     return n >= 1 and all(a == 1 for _, a in prime_powers(n))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The real quadratic field Q(sqrt(d)) for a square-free d in [2, MAX_D]."""
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self) -> None:
-        if not (2 <= self.d <= MAX_D and is_square_free(self.d)):
-            raise ValueError(f"d must be a square-free integer in [2, 10^12], got {self.d}")
+    def __init__(self, d: int) -> None:
+        if not (2 <= d <= MAX_D and is_square_free(d)):
+            raise ValueError(f"d must be a square-free integer in [2, 10^12], got {d}")
+        object.__setattr__(self, "d", d)
 
     @property
     def omega_kind(self) -> OmegaKind:
@@ -112,19 +112,15 @@ class FieldSpec:
         return f"sqrt({self.d})"
 
 
-@dataclass(frozen=True)
-class QuadElem:
+class QuadElem(Record):
     """The value a + b*sqrt(d), with exact rational components a and b."""
 
-    a: Fraction
-    b: Fraction
-    field: FieldSpec
+    __slots__ = ("a", "b", "field")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+    def __init__(self, a, b, field: FieldSpec) -> None:
+        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        object.__setattr__(self, "field", field)
 
     def _check_same_field(self, other: "QuadElem") -> None:
         if self.field != other.field:
@@ -290,18 +286,18 @@ def order_from_trace(t: QuadElem) -> int:
     return _order(int(2 * t.a), int(2 * t.b), t.field.d)
 
 
-@dataclass(frozen=True)
-class TraceCandidate:
+class TraceCandidate(Record):
     """An elliptic trace together with the PSL2 order it corresponds to."""
 
-    trace: QuadElem
-    psl_order: int
+    __slots__ = ("trace", "psl_order")
 
-    def __post_init__(self) -> None:
-        if not is_elliptic_trace(self.trace):
+    def __init__(self, trace: QuadElem, psl_order: int) -> None:
+        if not is_elliptic_trace(trace):
             raise ValueError("trace candidate must have both embeddings in (-2, 2)")
-        if self.psl_order < 2:
+        if psl_order < 2:
             raise ValueError("PSL2 order of an elliptic element is at least 2")
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "psl_order", psl_order)
 
 
 def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:

@@ -38,6 +38,17 @@ def test_direct_sum_and_scaling():
     assert combo.scaled(0).is_zero()
 
 
+def test_scaling_past_sys_maxsize_caps_only_torsion():
+    k = 10**19  # above sys.maxsize: a tuple cannot be repeated k times
+    assert AbGroupExpr.free(2).scaled(k) == AbGroupExpr.free(2 * k)
+    assert AbGroupExpr.token("T", 3).scaled(k) == AbGroupExpr.token("T", 3 * k)
+    assert AbGroupExpr.zero().scaled(k).is_zero()
+    assert AbGroupExpr(0, (2, 3)).scaled(5000).torsion == (2,) * 5000 + (3,) * 5000
+    for expr, copies in ((AbGroupExpr(0, (2, 3)), 5001), (AbGroupExpr.cyclic(2), k)):
+        with pytest.raises(ValueError, match=r"at most 10\^4 torsion summands"):
+            expr.scaled(copies)
+
+
 def test_render():
     assert AbGroupExpr.zero().render() == "0"
     assert AbGroupExpr.free(1).render() == "Z"

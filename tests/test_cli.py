@@ -325,6 +325,19 @@ def test_whitehead_sl_rejects_high_q(capsys):
     assert code == EXIT_INVALID_INPUT
 
 
+def test_whitehead_class_count_past_sys_maxsize(capsys):
+    # Wh_1(Z_2) = Z^(r(2) - q(2)) = Z^0 and Wh_1(Z_5) = Z^(3 - 2); at q = -1,
+    # K_{-1}(Z[Z_2]) has rank 1 - q(2) + (k_2 - r_2) = 1 - 2 + (2 - 1) = 0 and
+    # leaves its symbolic 2-torsion summand.  Copies of torsion-free
+    # expressions scale by k, however large.
+    k = 10**19
+    for classes, q, expected in ((f"2:{k}", "1", "0"), (f"2:{k},5:{k}", "1", f"Z^{k}"),
+                                 (f"2:{k}", "-1", f"{k}*K-1tors(Z_2)")):
+        code, out, err = run_cli(capsys, "whitehead", "--classes", classes, "--q", q)
+        assert (code, err) == (EXIT_OK, ""), classes
+        assert out == f"Wh_{q} of PSL2(O_k), k = generic: {expected}\n", classes
+
+
 # ---------------------------------------------------------------------------
 # reps / classnum / chains
 # ---------------------------------------------------------------------------
