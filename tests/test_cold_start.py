@@ -3,8 +3,9 @@
 A README command runs in a new interpreter, so every module its import
 pulls in is paid for on each call.  The records are plain classes and
 ``canonical_json`` imports ``json`` on first use, so none of the heavy
-modules below may load; every pipeline module must, because the CLI and
-the benchmark's tracer look each of them up in ``sys.modules``.
+modules below may load.  Every pipeline module must: the traced cold
+child of ``perfbench`` imports only ``hilbertmod.cli`` and then looks each
+traced module up in ``sys.modules``.
 """
 
 import os
