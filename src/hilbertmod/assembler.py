@@ -7,16 +7,16 @@ maximal finite subgroups, and the difference
 
     rank K_q(Z[G]) - rank H_q(BG; K(Z))
 
-is determined by the representation counts of those subgroups:
+is the sum over those classes of the same difference for the subgroup,
 
-    sum_(M) rank K_q(Z[M]) - m     if q = 0 or (q > 2 and q = 1 mod 4)
-    sum_(M) rank K_q(Z[M])         otherwise
+    sum_(M) rank K_q(Z[M]) - rank H_q(BM; K(Z)),
 
-with m the number of conjugacy classes.  :func:`rank_diff` implements this
-directly; :func:`rank_diff_from_case_table` transcribes the expanded
-per-row table instead (using the representation counts, not the K-rank
-helper), and the two must agree everywhere.  At q = -1 the per-row form is
-read as m - sum_(M) [ q(M) - sum_{p | |M|} (k_p(M) - r_p(M)) ], the only
+where rank H_q(BM; K(Z)) is 1 on the rows q = 0 and q = 1 mod 4, q > 2,
+and 0 otherwise.  :func:`rank_diff` implements this directly;
+:func:`rank_diff_from_case_table` transcribes the expanded per-row table
+instead (using the representation counts, not the K-rank helper), and the
+two must agree everywhere.  At q = -1 the per-row form is read as
+m - sum_(M) [ q(M) - sum_{p | |M|} (k_p(M) - r_p(M)) ], the only
 parenthesization consistent with the direct formula.
 
 Class-count data is a user input except for the one built-in entry d = 5,
@@ -31,12 +31,13 @@ from enum import Enum
 
 from ._record import Record
 from .abgroups import AbGroupExpr
-from .cyclicreps import MAX_ORDER
 from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
-from .finitek import rank_K_cyclic, wh_cyclic
+from .cyclicreps import require_order
+from .finitek import rank_H_BM, rank_K_cyclic, wh_cyclic
 from .quadfield import FieldSpec, allowed_orders
 
 __all__ = [
+    "MAX_CLASS_ENTRIES",
     "MissingClassDataError",
     "MissingAbelianizationError",
     "Mode",
@@ -77,6 +78,7 @@ class Mode(Enum):
 # Z_2, Z_3, Z_5, two conjugacy classes each, and a perfect projective group.
 BUILTIN_CLASS_COUNTS: dict[int, dict[int, int]] = {5: {2: 2, 3: 2, 5: 2}}
 PERFECT_FIELDS = frozenset({5})
+MAX_CLASS_ENTRIES = 10**4  # distinct subgroup orders in one class-count table
 
 
 class ClassCounts(Record):
@@ -86,6 +88,8 @@ class ClassCounts(Record):
 
     def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
         entries = tuple(sorted((int(n), int(c)) for n, c in entries))
+        if len(entries) > MAX_CLASS_ENTRIES:
+            raise ValueError(f"at most 10^4 class-count entries are supported, got {len(entries)}")
         orders = [n for n, _ in entries]
         if any(n < 2 for n in orders):
             raise ValueError("maximal finite subgroup orders must be >= 2")
@@ -93,9 +97,8 @@ class ClassCounts(Record):
             raise ValueError("class counts must be >= 1")
         if len(set(orders)) != len(orders):
             raise ValueError("duplicate subgroup order in class counts")
-        too_big = [n for n in orders if n > MAX_ORDER]
-        if too_big:
-            raise ValueError(f"group order must be in [1, 10^7], got {too_big[0]}")
+        for n in orders:
+            require_order(n)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -209,16 +212,13 @@ def whitehead_sl(g: GroupData, q: int) -> AbGroupExpr:
 def rank_diff(g: GroupData, q: int) -> int:
     """rank K_q(Z[G]) - rank H_q(BG; K(Z)) for the projective group.
 
-    Direct form: the K-ranks of the maximal subgroups, minus m exactly when
-    q = 0 or (q > 2 and q = 1 mod 4), which is when each class also carries
-    a rank-one H_q(BM; K(Z)).
+    Direct form: the sum over the conjugacy classes (M) of maximal finite
+    subgroups of rank K_q(Z[M]) - rank H_q(BM; K(Z)).
     """
     if g.mode is not Mode.PSL:
         raise ValueError("the rank difference formula applies to the projective group")
-    total = sum(count * rank_K_cyclic(n, q) for n, count in g.class_counts.entries)
-    if q == 0 or (q > 2 and q % 4 == 1):
-        return total - g.class_counts.m
-    return total
+    return sum(count * (rank_K_cyclic(n, q) - rank_H_BM(n, q))
+               for n, count in g.class_counts.entries)
 
 
 def rank_diff_from_case_table(g: GroupData, q: int) -> int:

@@ -20,13 +20,13 @@ the envelope; its ``inputs`` echo the parsed arguments other than
 ``--json``, with the ``ranks`` degrees as a list of integers.
 
 Inputs are capped so that every command answers in bounded time:
-square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and the orders
-in ``--classes``), |D| <= 10^8 for ``classnum``, m <= 10^4 maximal classes
-for ``chains``, and at most 10^4 torsion summands in ``--ab``.  Past a cap
-the command exits 2 and the message names the limit.
+square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
+10^4 ``--classes`` entries, 10^4 ``ranks --q`` degrees, |D| <= 10^8 for
+``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands in
+``--ab``.  Past a cap the command exits 2 and the message names the limit.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
-4 missing abelianization, 1 internal error.
+4 missing abelianization, 1 internal error (its traceback follows on stderr).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .quadfield import FieldSpec, elliptic_trace_candidates, allowed_orders, emb
 __all__ = ["main", "canonical_json"]
 
 SCHEMA_VERSION = "1"
+MAX_DEGREES = 10**4  # degrees in one ``ranks --q`` list
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -72,9 +73,12 @@ def canonical_json(payload) -> str:
 
 def _parse_q_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        degrees = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad degree list {text!r}: {exc}") from exc
+    if len(degrees) > MAX_DEGREES:
+        raise ValueError(f"at most 10^4 degrees per --q list are supported, got {len(degrees)}")
+    return degrees
 
 
 def _group_inputs(args) -> tuple[ClassCounts, FieldSpec | str, str]:
@@ -136,11 +140,14 @@ def _cmd_ranks(args) -> tuple[dict, dict, list[str]]:
         f"{label}: m = {counts.m} conjugacy classes "
         f"({', '.join(f'{n}:{c}' for n, c in counts.entries)})"
     ]
+    by_case = {}  # rank_diff depends on q only through its row of the rank table
     for q in args.q:
-        value = rank_diff(g, q)
-        case = rank_case(q).value
-        rows.append({"q": q, "value": value, "case": case})
-        lines.append(f"q={q:<4d} {value:<6d} ({case})")
+        case = rank_case(q)
+        if case not in by_case:
+            by_case[case] = rank_diff(g, q)
+        value = by_case[case]
+        rows.append({"q": q, "value": value, "case": case.value})
+        lines.append(f"q={q:<4d} {value:<6d} ({case.value})")
     result = {
         "group": label,
         "class_counts": {str(n): c for n, c in counts.entries},
@@ -299,8 +306,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        import traceback  # on first use: only an internal error prints one
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -42,6 +42,7 @@ from ._record import Record
 
 __all__ = [
     "MAX_ORDER",
+    "require_order",
     "RepCounts",
     "q_count",
     "r_count",
@@ -61,7 +62,8 @@ __all__ = [
 MAX_ORDER = 10**7
 
 
-def _require_order(n: int) -> None:
+def require_order(n: int) -> None:
+    """The one group-order domain of the package: raise unless 1 <= n <= 10^7."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"group order must be in [1, 10^7], got {n}")
 
@@ -75,13 +77,13 @@ def prime_powers(n: int):
     """
     f = 2
     while f * f <= n:
-        a = 0
-        while n % f == 0:
-            n //= f
-            a += 1
-        if a:
+        if n % f == 0:
+            a = 0
+            while n % f == 0:
+                n //= f
+                a += 1
             yield f, a
-        f += 1
+        f += 1 if f == 2 else 2
     if n > 1:
         yield n, 1
 
@@ -96,18 +98,13 @@ def is_prime(p: int) -> bool:
     return factorize(p) == {p: 1}
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(factorize(n))
 
 
 def q_count(n: int) -> int:
     """Number of rational irreducibles of Z_n: the number of divisors of n."""
-    _require_order(n)
+    require_order(n)
     return prod(a + 1 for a in factorize(n).values())
 
 
@@ -117,7 +114,7 @@ def r_count(n: int) -> int:
     Complex characters come in conjugate pairs; the orbit count is
     (n+1)/2 for odd n and n/2 + 1 for even n.
     """
-    _require_order(n)
+    require_order(n)
     return (n + 1) // 2 if n % 2 else n // 2 + 1
 
 
@@ -127,16 +124,18 @@ def c_count(n: int) -> int:
     These are the genuine conjugate pairs: (n-1)/2 for odd n,
     (n-2)/2 for even n.
     """
-    _require_order(n)
+    require_order(n)
     return (n - 1) // 2 if n % 2 else (n - 2) // 2
 
 
-def _p_cosets(m: int, p: int) -> int:
-    """Number of p-cosets of Z/m (p prime to m): sum of phi(e)/ord_e(p) over e | m."""
+def _p_cosets(factors: dict[int, int], p: int) -> int:
+    """Number of p-cosets of Z/m, for m the prime-to-p part of the n whose
+    factorization is factors: sum of phi(e)/ord_e(p) over e | m."""
     pairs = [(1, 1)]  # (e, phi(e)) for the divisors e of m found so far
-    for q, b in factorize(m).items():
-        pairs += [(e * q**k, phi * (q - 1) * q ** (k - 1))
-                  for e, phi in pairs for k in range(1, b + 1)]
+    for q, b in factors.items():
+        if q != p:
+            pairs += [(e * q**k, phi * (q - 1) * q ** (k - 1))
+                      for e, phi in pairs for k in range(1, b + 1)]
     phi_primes = factorize(pairs[-1][1])  # pairs[-1] = (m, phi(m)), and phi(e) | phi(m)
     total = 0
     for e, phi in pairs:
@@ -149,11 +148,12 @@ def _p_cosets(m: int, p: int) -> int:
 
 
 def kp_count(n: int, p: int) -> int:
-    """Number of irreducible Q_p-representations of Z_n: (a+1) * r_p."""
-    _require_order(n)
-    _require_prime(p)
-    a = factorize(n).get(p, 0)
-    return (a + 1) * _p_cosets(n // p**a, p)
+    """Number of irreducible Q_p-representations of Z_n: (a+1) * r_p, p^a || n."""
+    rp = rp_count(n, p)  # checks n and p before the valuation loop below
+    a = 0
+    while n % p ** (a + 1) == 0:
+        a += 1
+    return (a + 1) * rp
 
 
 def rp_count(n: int, p: int) -> int:
@@ -162,9 +162,10 @@ def rp_count(n: int, p: int) -> int:
     Only the prime-to-p part m of n matters; the count is the number of
     p-cosets of Z/m.
     """
-    _require_order(n)
-    _require_prime(p)
-    return _p_cosets(n // p ** factorize(n).get(p, 0), p)
+    require_order(n)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _p_cosets(factorize(n), p)
 
 
 class RepCounts(Record):
@@ -183,6 +184,10 @@ class RepCounts(Record):
 
 
 def rep_counts(n: int) -> RepCounts:
-    _require_order(n)
-    local = tuple((p, kp_count(n, p), rp_count(n, p)) for p in prime_divisors(n))
-    return RepCounts(n=n, r=r_count(n), c=c_count(n), q=q_count(n), local=local)
+    """All counts of Z_n, read off one factorization of n."""
+    require_order(n)
+    factors = factorize(n)
+    cosets = {p: _p_cosets(factors, p) for p in factors}
+    local = tuple((p, (a + 1) * cosets[p], cosets[p]) for p, a in factors.items())
+    return RepCounts(n=n, r=r_count(n), c=c_count(n),
+                     q=prod(a + 1 for a in factors.values()), local=local)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .abgroups import AbGroupExpr
-from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
+from .cyclicreps import c_count, q_count, r_count, rep_counts, require_order
 
 __all__ = [
     "RankCase",
@@ -63,8 +63,7 @@ def rank_case(q: int) -> RankCase:
 
 def rank_K_cyclic(n: int, q: int) -> int:
     """Rational rank of K_q(Z[Z_n])."""
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
+    require_order(n)
     case = rank_case(q)
     if case is RankCase.Q1_MOD4:
         return r_count(n)
@@ -75,9 +74,8 @@ def rank_K_cyclic(n: int, q: int) -> int:
     if case is RankCase.Q_IS_0:
         return 1
     if case is RankCase.Q_IS_MINUS_1:
-        return 1 - q_count(n) + sum(
-            kp_count(n, p) - rp_count(n, p) for p in prime_divisors(n)
-        )
+        rc = rep_counts(n)
+        return 1 - rc.q + sum(kp - rp for _, kp, rp in rc.local)
     return 0
 
 
@@ -85,11 +83,10 @@ def rank_H_BM(n: int, q: int) -> int:
     """Rank of H_q(BM; K(Z)) for M finite cyclic of order n.
 
     Rationally only H_0(BM; Q) survives, so this is the rank of K_q(Z):
-    1 at q = 0 and at q = 1 mod 4 with q > 2, else 0.
+    1 on the rows q = 0 and q = 1 mod 4 with q > 2, else 0.
     """
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
-    return 1 if q == 0 or (q > 2 and q % 4 == 1) else 0
+    require_order(n)
+    return 1 if rank_case(q) in (RankCase.Q_IS_0, RankCase.Q1_MOD4) else 0
 
 
 def wh_cyclic(n: int, q: int) -> AbGroupExpr:
@@ -102,14 +99,13 @@ def wh_cyclic(n: int, q: int) -> AbGroupExpr:
     zero.  For q >= 2 nothing integral is pinned down and the whole group
     stays one symbolic token.
     """
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
+    require_order(n)
     if n == 1:
         return AbGroupExpr.zero()
     if q >= 2:
         return AbGroupExpr.token(f"Wh{q}(Z_{n})")
     if q == 1:
-        free = r_count(n) - q_count(n)
+        free = rank_K_cyclic(n, 1)
         if n <= 6:
             return AbGroupExpr.free(free)
         return AbGroupExpr(free_rank=free, symbolic=((f"SK1(Z_{n})", 1),))

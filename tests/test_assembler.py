@@ -19,6 +19,7 @@ from hilbertmod.assembler import (
     whitehead_sl,
 )
 from hilbertmod.cyclicreps import q_count, r_count
+from hilbertmod.finitek import rank_case
 from hilbertmod.quadfield import FieldSpec
 
 
@@ -175,6 +176,14 @@ def test_rank_diff_periodicity_above_two():
     g = _d5_psl()
     for q in range(3, 20):
         assert rank_diff(g, q) == rank_diff(g, q + 4)
+    # More generally rank_diff depends on q only through its rank_case row,
+    # which is what lets `ranks` evaluate each row once per request.
+    for spec in ("2:2,3:2,5:2", "2:1,3:1", "4:3,6:1", "7:2,12:1,360:5", "9999926:2,9999991:1"):
+        g = GroupData(source="generic", class_counts=ClassCounts.parse(spec))
+        first = {}
+        for q in range(-12, 81):
+            value = rank_diff(g, q)
+            assert first.setdefault(rank_case(q), value) == value, (spec, q)
 
 
 def test_rank_diff_two_code_paths_agree():

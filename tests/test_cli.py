@@ -7,15 +7,24 @@ import time
 import pytest
 
 from hilbertmod import classnumbers, cli
+from hilbertmod.assembler import (
+    MAX_CLASS_ENTRIES,
+    ClassCounts,
+    GroupData,
+    class_counts_for_field,
+    rank_diff_from_case_table,
+)
 from hilbertmod.cli import (
     EXIT_INVALID_INPUT,
     EXIT_MISSING_ABELIANIZATION,
     EXIT_MISSING_CLASS_DATA,
     EXIT_OK,
+    MAX_DEGREES,
     canonical_json,
     main,
 )
 from hilbertmod.finitek import rank_K_cyclic
+from hilbertmod.quadfield import FieldSpec
 
 from oracles import kp_formula, rp_formula
 
@@ -431,6 +440,11 @@ def test_classnum_golden_bytes(capsys):
       "--ab", "1000000000*Z/2", "--json"), "10^4"),
     (("ranks", "--classes", "2000000014:1", "--q", "0"), "10^7"),
     (("whitehead", "--classes", "2000000014:1", "--q", "2"), "10^7"),
+    (("ranks", "5", "--q=" + ",".join(["-1"] * (MAX_DEGREES + 1))), "10^4"),
+    (("ranks", "--classes", ",".join(f"{n}:1" for n in range(2, MAX_CLASS_ENTRIES + 3)),
+      "--q=-1"), "10^4"),
+    (("whitehead", "--classes", ",".join(f"{n}:1" for n in range(2, MAX_CLASS_ENTRIES + 3)),
+      "--q", "-1"), "10^4"),
 ])
 def test_input_caps_exit_2_naming_the_limit(capsys, argv, limit):
     start = time.monotonic()
@@ -508,6 +522,74 @@ def test_chains_at_the_class_cap(capsys):
     elapsed = time.monotonic() - start
     assert payload["result"]["count"] == len(payload["result"]["chains"]) == 20001
     assert elapsed < 5.0, elapsed
+
+
+def test_ranks_at_the_degree_cap(capsys):
+    degrees = range(-6, MAX_DEGREES - 6)  # every row of the rank table, many times over
+    start = time.monotonic()
+    payload = run_json(capsys, "ranks", "5", "--q=" + ",".join(map(str, degrees)))
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, elapsed
+    g = GroupData(source="generic", class_counts=class_counts_for_field(FieldSpec(5)))
+    assert ([(row["q"], row["value"]) for row in payload["result"]["rows"]]
+            == [(q, rank_diff_from_case_table(g, q)) for q in degrees])
+
+
+def _primes_below(hi, count):
+    """The count largest primes below hi, by a sieve of the window under hi."""
+    lo = hi - 40 * count
+    window = bytearray([1]) * (hi - lo)
+    for p in range(2, int(hi**0.5) + 1):
+        start = max(p * p, -(-lo // p) * p)
+        window[start - lo::p] = bytes(len(range(start - lo, hi - lo, p)))
+    return [lo + i for i, flag in enumerate(window) if flag][-count:]
+
+
+@pytest.fixture(scope="module")
+def twice_primes_at_the_class_cap():
+    """10^4 classes of orders 2q, q prime, just under 10^7: each q = -1 row
+    needs ord_q(2), and each order has a prime factor near 5 * 10^6.  Returns
+    the --classes spec and the case-table rank difference per degree."""
+    orders = [2 * q for q in _primes_below(5 * 10**6, MAX_CLASS_ENTRIES)]
+    spec = ",".join(f"{n}:1" for n in orders)
+    g = GroupData(source="generic", class_counts=ClassCounts.parse(spec))
+    return spec, {q: rank_diff_from_case_table(g, q) for q in (-1, 0, 1, 2, 5, 7)}
+
+
+@pytest.mark.parametrize("degrees", ["-1", "-1,0,1,2,5,7"])
+def test_ranks_at_the_class_cap(capsys, twice_primes_at_the_class_cap, degrees):
+    spec, expected = twice_primes_at_the_class_cap
+    start = time.monotonic()
+    payload = run_json(capsys, "ranks", "--classes", spec, "--q=" + degrees)
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, elapsed
+    assert payload["result"]["m"] == MAX_CLASS_ENTRIES
+    assert ({row["q"]: row["value"] for row in payload["result"]["rows"]}
+            == {int(q): expected[int(q)] for q in degrees.split(",")})
+
+
+def test_whitehead_at_the_class_cap(capsys, twice_primes_at_the_class_cap):
+    spec, expected = twice_primes_at_the_class_cap
+    start = time.monotonic()
+    payload = run_json(capsys, "whitehead", "--classes", spec, "--q", "-1")
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, elapsed
+    # rank H_{-1} vanishes, so the free rank of Wh_{-1} is the rank difference
+    wh = payload["result"]["whitehead"]
+    assert wh["free_rank"] == expected[-1]
+    assert len(wh["symbolic"]) == MAX_CLASS_ENTRIES
+
+
+def test_internal_error_exits_1_with_its_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_reps", broken)
+    for argv in (("reps", "5"), ("reps", "5", "--json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == "internal error: boom"
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 # ---------------------------------------------------------------------------

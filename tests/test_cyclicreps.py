@@ -1,5 +1,7 @@
 """Representation counts against independent character-orbit oracles."""
 
+import random
+
 import pytest
 
 from hilbertmod.cyclicreps import (
@@ -129,3 +131,14 @@ def test_rep_counts_aggregate():
         assert tuple(p for p, _, _ in rep_counts(n).local) == prime_divisors(n)
         for p, kp, rp in rep_counts(n).local:
             assert kp >= rp
+
+
+def test_rep_counts_reads_the_separate_counts_off_one_factorization():
+    # rep_counts factors n once; the rank rows rely on it giving exactly
+    # what the separate per-prime counts give.
+    rng = random.Random(271828)
+    for n in [*range(1, 3000), *(rng.randrange(1, 10**7) for _ in range(500))]:
+        rc = rep_counts(n)
+        assert rc.local == tuple((p, kp_count(n, p), rp_count(n, p))
+                                 for p in prime_divisors(n)), n
+        assert rc.q == q_count(n), n

@@ -85,6 +85,16 @@ def test_rank_H_BM():
         rank_H_BM(0, 0)
 
 
+@pytest.mark.parametrize("n", [0, 10**7 + 1])
+def test_every_rank_row_checks_the_one_order_domain(n):
+    # cyclicreps.require_order is the only order check: no row answers
+    # outside [1, 10^7], not even those that need no count of Z_n.
+    for q in range(-3, 10):
+        for function in (rank_K_cyclic, rank_H_BM, wh_cyclic):
+            with pytest.raises(ValueError, match=r"group order must be in \[1, 10\^7\]"):
+                function(n, q)
+
+
 def test_wh_cyclic_classical_values():
     assert wh_cyclic(5, 1) == AbGroupExpr.free(1)      # Wh(Z_5) = Z
     assert wh_cyclic(2, 1).is_zero()
