@@ -38,6 +38,7 @@ from .quadfield import FieldSpec, allowed_orders
 
 __all__ = [
     "MAX_CLASS_ENTRIES",
+    "MAX_CLASS_COUNT",
     "MissingClassDataError",
     "MissingAbelianizationError",
     "Mode",
@@ -79,6 +80,9 @@ class Mode(Enum):
 BUILTIN_CLASS_COUNTS: dict[int, dict[int, int]] = {5: {2: 2, 3: 2, 5: 2}}
 PERFECT_FIELDS = frozenset({5})
 MAX_CLASS_ENTRIES = 10**4  # distinct subgroup orders in one class-count table
+# classes of one order: keeps every count, sum and scaled summand far below
+# the 4,300 digits that int-to-str conversion accepts
+MAX_CLASS_COUNT = 10**100
 
 
 class ClassCounts(Record):
@@ -95,6 +99,8 @@ class ClassCounts(Record):
             raise ValueError("maximal finite subgroup orders must be >= 2")
         if any(c < 1 for _, c in entries):
             raise ValueError("class counts must be >= 1")
+        if any(c > MAX_CLASS_COUNT for _, c in entries):
+            raise ValueError("class counts must be at most 10^100")
         if len(set(orders)) != len(orders):
             raise ValueError("duplicate subgroup order in class counts")
         for n in orders:
@@ -116,6 +122,8 @@ class ClassCounts(Record):
             order_s, sep, count_s = chunk.partition(":")
             if not sep:
                 raise ValueError(f"expected order:count, got {chunk!r}")
+            if len(count_s) > 4300:  # int() itself refuses more digits than this
+                raise ValueError("class counts must be at most 10^100")
             entries.append((int(order_s), int(count_s)))
         if [n for n, _ in entries] != sorted({n for n, _ in entries}):
             raise ValueError("orders must be ascending and distinct")

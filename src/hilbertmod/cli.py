@@ -11,9 +11,11 @@ Subcommands
 Exact values are printed as exact strings; decimal approximations appear
 only behind ``--approx`` and are labeled as such.  ``--json`` switches to a
 canonical JSON envelope (schema_version "1") whose serialization is
-byte-stable under re-parsing.  Every numeric result carries a provenance
-tag: "paper-table" for values taken from the built-in published tables,
-"computed" for everything derived here.
+byte-stable under re-parsing: ``canonical_json`` writes the bytes of
+``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``.
+Every numeric result carries a provenance tag: "paper-table" for values
+taken from the built-in published tables, "computed" for everything
+derived here.
 
 Subcommands return (result, provenance, lines) and ``main`` alone builds
 the envelope; its ``inputs`` echo the parsed arguments other than
@@ -21,7 +23,8 @@ the envelope; its ``inputs`` echo the parsed arguments other than
 
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
-10^4 ``--classes`` entries, 10^4 ``ranks --q`` degrees, |D| <= 10^8 for
+10^4 ``--classes`` entries, class counts <= 10^100 in ``--classes``,
+10^4 ``ranks --q`` degrees, |D| <= 10^8 for
 ``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands in
 ``--ab``.  Past a cap the command exits 2 and the message names the limit.
 
@@ -66,9 +69,92 @@ EXIT_MISSING_ABELIANIZATION = 4
 
 
 def canonical_json(payload) -> str:
-    """Canonical serialization: reparsing and re-rendering is byte-identical."""
-    import json  # on first use: no plain-text command needs it
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
+    """Canonical serialization: reparsing and re-rendering is byte-identical.
+
+    The bytes equal ``json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=True)``.  They are written here because json's C encoder
+    serves only ``indent=None``; with an indent json runs its pure-Python
+    encoder, which costs about twice this writer on a ``ranks`` table.
+    """
+    # on first use: no plain-text command needs json
+    from json.encoder import encode_basestring_ascii as quote
+    parts = []
+    _write_json(payload, parts.append, quote, "\n")
+    return "".join(parts)
+
+
+def _write_json(value, put, quote, indent: str) -> None:
+    """Append ``value`` as json would; ``indent`` is a newline and the current spaces.
+
+    Plain ints and strs, nearly every leaf of an envelope, are written
+    without a call; every other leaf goes through ``_json_scalar``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            name = key if isinstance(key, str) else _json_scalar(key, quote)
+            head = f"{sep}{quote(name)}: "
+            kind = type(item)
+            if kind is int:
+                put(f"{head}{item}")
+            elif kind is str:
+                put(head + quote(item))
+            elif isinstance(item, (dict, list, tuple)):
+                put(head)
+                _write_json(item, put, quote, inner)
+            else:
+                put(head + _json_scalar(item, quote))
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is int:
+                put(f"{sep}{item}")
+            elif kind is str:
+                put(sep + quote(item))
+            elif isinstance(item, (dict, list, tuple)):
+                put(sep)
+                _write_json(item, put, quote, inner)
+            else:
+                put(sep + _json_scalar(item, quote))
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        put(_json_scalar(value, quote))
+
+
+def _json_scalar(value, quote) -> str:
+    """A leaf as json writes it; ``quote`` writes strings."""
+    if isinstance(value, str):
+        return quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == float("inf"):
+            return "Infinity"
+        if value == float("-inf"):
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -143,11 +229,12 @@ def _cmd_ranks(args) -> tuple[dict, dict, list[str]]:
     by_case = {}  # rank_diff depends on q only through its row of the rank table
     for q in args.q:
         case = rank_case(q)
-        if case not in by_case:
-            by_case[case] = rank_diff(g, q)
-        value = by_case[case]
-        rows.append({"q": q, "value": value, "case": case.value})
-        lines.append(f"q={q:<4d} {value:<6d} ({case.value})")
+        row = by_case.get(case)
+        if row is None:
+            row = by_case[case] = (rank_diff(g, q), case.value)
+        value, case_label = row
+        rows.append({"q": q, "value": value, "case": case_label})
+        lines.append(f"q={q:<4d} {value:<6d} ({case_label})")
     result = {
         "group": label,
         "class_counts": {str(n): c for n, c in counts.entries},

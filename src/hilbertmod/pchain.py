@@ -188,7 +188,8 @@ class E1Page(Record):
         self.columns = {} if columns is None else columns
 
     def column(self, p: int) -> Counter:
-        return self.columns.get(p, Counter())
+        column = self.columns.get(p)
+        return Counter() if column is None else column
 
     def add(self, p: int, token: CoeffToken, mult: int = 1) -> None:
         self.columns.setdefault(p, Counter())[token] += mult

@@ -7,14 +7,16 @@ trial division of each (b^2 - D)/4 instead of the sieve over b that
 factors them all for the reduced-form enumeration, a dense
 Warshall closure instead of up-sets grown by search, subset scans
 instead of chain extension along the order relation, cyclotomic minimal
-polynomials instead of the order table of the trace census, and the
+polynomials instead of the order table of the trace census, the
 integral basis and exact signs of both embeddings instead of the integer
-tests on (2a, 2b).  The implementations under test must agree with these.
+tests on (2a, 2b), and json's own encoder instead of the CLI's envelope
+writer.  The implementations under test must agree with these.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -376,3 +378,12 @@ def elliptic_by_sign(t) -> bool:
     one squaring step)."""
     two = t.field.element(2)
     return all((s - two).sign() < 0 < (s + two).sign() for s in (t, t.conjugate()))
+
+
+# ---------------------------------------------------------------------------
+# The canonical JSON envelope by json's own encoder
+# ---------------------------------------------------------------------------
+
+def reference_json(payload) -> str:
+    """The bytes ``hilbertmod.cli.canonical_json`` must write for ``payload``."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)

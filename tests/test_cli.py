@@ -8,6 +8,7 @@ import pytest
 
 from hilbertmod import classnumbers, cli
 from hilbertmod.assembler import (
+    MAX_CLASS_COUNT,
     MAX_CLASS_ENTRIES,
     ClassCounts,
     GroupData,
@@ -26,7 +27,7 @@ from hilbertmod.cli import (
 from hilbertmod.finitek import rank_K_cyclic
 from hilbertmod.quadfield import FieldSpec
 
-from oracles import kp_formula, rp_formula
+from oracles import kp_formula, reference_json, rp_formula
 
 
 def run_cli(capsys, *argv):
@@ -445,6 +446,11 @@ def test_classnum_golden_bytes(capsys):
       "--q=-1"), "10^4"),
     (("whitehead", "--classes", ",".join(f"{n}:1" for n in range(2, MAX_CLASS_ENTRIES + 3)),
       "--q", "-1"), "10^4"),
+    # a sum of two 4,300-digit counts has more digits than int-to-str accepts
+    (("ranks", "--classes", f"2:{'9' * 4300},3:{'9' * 4300}", "--q", "5"), "10^100"),
+    (("whitehead", "--classes", f"5:{'9' * 4300},7:{'9' * 4300}", "--q", "1"), "10^100"),
+    (("ranks", "--classes", f"2:{'9' * 5000}", "--q", "5"), "10^100"),
+    (("ranks", "--classes", f"2:{MAX_CLASS_COUNT + 1}", "--q", "5", "--json"), "10^100"),
 ])
 def test_input_caps_exit_2_naming_the_limit(capsys, argv, limit):
     start = time.monotonic()
@@ -452,6 +458,18 @@ def test_input_caps_exit_2_naming_the_limit(capsys, argv, limit):
     assert code == EXIT_INVALID_INPUT
     assert limit in err
     assert time.monotonic() - start < 5.0
+
+
+def test_class_counts_at_the_cap(capsys):
+    k = MAX_CLASS_COUNT
+    payload = run_json(capsys, "ranks", "--classes", f"2:{k},3:{k}", "--q=5,-1")
+    assert payload["result"]["m"] == 2 * k
+    # q = 5: each class adds r(n) - 1 = 1; q = -1: K_{-1}(Z[Z_2]) and K_{-1}(Z[Z_3]) have rank 0
+    assert [row["value"] for row in payload["result"]["rows"]] == [2 * k, 0]
+    code, out, err = run_cli(capsys, "whitehead", "--classes", f"2:{k},5:{k}", "--q", "1")
+    assert (code, err) == (EXIT_OK, "")
+    # Wh_1(Z_2) = 0 and Wh_1(Z_5) = Z^1
+    assert out == f"Wh_1 of PSL2(O_k), k = generic: Z^{k}\n"
 
 
 def test_chains(capsys):
@@ -1009,7 +1027,30 @@ def test_json_round_trip_is_byte_identical(capsys):
     for argv in commands:
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == EXIT_OK
-        assert out == canonical_json(json.loads(out)) + "\n", argv
+        assert out == reference_json(json.loads(out)) + "\n", argv
+
+
+def test_canonical_json_writes_what_json_dumps_writes(capsys):
+    approx = run_json(capsys, "field", "5", "--approx")
+    assert any(isinstance(x, float) for c in approx["result"]["trace_candidates"]
+               for x in c["approx_embeddings"])
+    payloads = [
+        approx,
+        {}, [], (), "", 0, -1, 1.5, None, True, False,
+        {"empty": {}, "list": [], "tuple": (), "nested": {"a": [[], {}, [[{}]]]}},
+        {"b": True, "a": False, "c": None, "d": [True, False, None]},
+        {"floats": [0.0, -0.0, 1e-7, 1e16, 1e300, -2.5, 0.1 + 0.2, float("inf"),
+                    float("-inf"), float("nan")]},
+        {"ints": [-1, -10**40, 10**4000, -(10**4000), 2**63, 0]},
+        {"caf\u00e9": "\u2603 snow", "tab\tkey": "line\nbreak", "\x00\x1f\x7f": "\"q\" \\ /",
+         "\ud83d\ude00": ["\U0001f600", "\ud800"], "": ""},
+        {"tuples": (1, (2, (3,)), ("x", {"y": ()}))},
+        {"z": 1, "A": 2, "a": 3, "10": 4, "9": 5, " ": 6},
+        {3: "int keys", 10: "sort as ints"}, {2.5: 1, 0.5: 2}, {None: 0}, {True: 1},
+        [{"rows": [{"q": q, "value": -q * 10**30, "case": "q>2"} for q in range(-3, 9)]}],
+    ]
+    for payload in payloads:
+        assert canonical_json(payload) == reference_json(payload), payload
 
 
 def test_every_numeric_result_tagged(capsys):

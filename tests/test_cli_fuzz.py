@@ -1,12 +1,15 @@
-"""Seeded grammar fuzzer for ``ranks`` and ``whitehead``.
+"""Seeded grammar fuzzer for all six subcommands.
 
-About 600 argv drawn from a small grammar: field discriminants, ``--classes``
-specs, degree lists, modes and ``--ab`` values, each valid, edge-case,
-huge or malformed, including lists just under and just over the 10^4
-caps.  Every call must exit 0, 2, 3 or 4 within 5 s; ``--json`` output
-must re-serialize to the same bytes; and every ``ranks`` row that is
-printed must equal the case-table route and, where the E1 page can be
-built (m <= 10^4 classes), the E1-column route.
+About 600 ``ranks`` and ``whitehead`` argv drawn from a small grammar: field
+discriminants, ``--classes`` specs, degree lists, modes and ``--ab`` values,
+each valid, edge-case, huge or malformed, including lists just under and
+just over the 10^4 caps.  About 400 more ``field``, ``reps``, ``classnum``
+and ``chains`` argv draw each integer the same way, with the values at and
+just past each cap.  Every call must exit 0, 2, 3 or 4 within 5 s;
+``--json`` output must re-serialize, by json's own encoder, to the same
+bytes; and every ``ranks`` row that is printed must equal the case-table
+route and, where the E1 page can be built (m <= 10^4 classes), the
+E1-column route.
 """
 
 import contextlib
@@ -23,12 +26,15 @@ from hilbertmod.assembler import (
     class_counts_for_field,
     rank_diff_from_case_table,
 )
-from hilbertmod.cli import MAX_DEGREES, canonical_json
+from hilbertmod.cli import MAX_DEGREES
 from hilbertmod.pchain import MAX_CLASSES, build_E1, psl_poset, rank_E1_column
 from hilbertmod.quadfield import FieldSpec
 
+from oracles import reference_json
+
 SEED = 20150
 CALLS = 600
+OTHER_CALLS = 400
 HUGE = "9" * 40
 
 FIELDS = ["5", "2", "3", "13", "7", "1", "0", "-5", "4", "1000003", "10000000000000",
@@ -108,6 +114,49 @@ def _at_the_caps():
     ]
 
 
+MALFORMED = ["", "x", "5.0", "1e3", "0x5", " 7 ", "1_000", "--", HUGE, "-" + HUGE,
+             "9" * 5000]
+
+
+def _int(rng, valid, edges):
+    """One integer argument: valid, at an edge or cap, or huge and malformed."""
+    roll = rng.random()
+    if roll < 0.6:
+        return str(valid(rng))
+    if roll < 0.9:
+        return rng.choice(edges)
+    return rng.choice(MALFORMED)
+
+
+def _other_argv(rng):
+    command = rng.choice(["field", "reps", "classnum", "chains"])
+    if command == "field":
+        argv = ["field", _int(rng, lambda r: r.randint(2, 10**4),
+                              ["1", "0", "-5", "4", "2", "3", "5", "13", "1000003",
+                               "999999999989", str(10**12), str(10**12 + 1)])]
+        if rng.random() < 0.5:
+            argv.append("--approx")
+    elif command == "reps":
+        argv = ["reps", _int(rng, lambda r: r.choice([r.randint(1, 5000), r.randint(1, 10**7)]),
+                             ["0", "1", "-1", "2", "720720", "9699690", "9999991",
+                              str(10**7), str(10**7 + 1)])]
+    elif command == "classnum":
+        argv = ["classnum", _int(rng, lambda r: -r.randint(3, 10**5),
+                                 ["-3", "-4", "0", "1", "3", "-1", "-2", "-5", "-100075",
+                                  "-99999999", str(-10**8), str(-10**8 - 1)])]
+    else:
+        argv = ["chains"]
+        if rng.random() < 0.95:
+            argv += ["--poset", rng.choice(["psl", "sl", "sl", "PSL", ""])]
+        if rng.random() < 0.95:
+            argv += ["--m", _int(rng, lambda r: r.randint(0, 60), ["-1", "0", "1", "10001"])]
+        if rng.random() < 0.95:
+            argv += ["--p", _int(rng, lambda r: r.randint(-2, 6), ["-1", "0", "1", HUGE])]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
 def _call(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
@@ -154,13 +203,31 @@ def test_fuzzed_ranks_and_whitehead_argv():
     for argv in argvs:
         code, out, err, elapsed = _call(argv)
         codes.append(code)
-        assert code in (0, 2, 3, 4), (argv[:6], code, err[-500:])
-        assert elapsed < 5.0, (argv[:6], elapsed)
-        if code == 0 and "--json" in argv:
-            assert out == canonical_json(json.loads(out)) + "\n", argv[:6]
+        _check_call(argv, code, out, err, elapsed)
         if code == 0 and argv[0] == "ranks":
             _check_ranks(argv, out)
-        if code != 0:
-            assert out == "" and err, argv[:6]
     # the grammar reaches every exit code it allows
     assert set(codes) == {0, 2, 3, 4}
+
+
+def test_fuzzed_field_reps_classnum_chains_argv():
+    rng = random.Random(SEED + 1)
+    at_the_caps = [["chains", "--poset", "sl", "--m", "10000", "--p", "1", "--json"],
+                   ["classnum", str(-10**8), "--json"], ["reps", str(10**7), "--json"],
+                   ["field", "999999999989", "--approx", "--json"]]
+    codes = set()
+    for argv in at_the_caps + [_other_argv(rng) for _ in range(OTHER_CALLS)]:
+        code, out, err, elapsed = _call(argv)
+        codes.add(code)
+        _check_call(argv, code, out, err, elapsed)
+    # these four subcommands read no class data and no abelianization
+    assert codes == {0, 2}
+
+
+def _check_call(argv, code, out, err, elapsed):
+    assert code in (0, 2, 3, 4), (argv[:6], code, err[-500:])
+    assert elapsed < 5.0, (argv[:6], elapsed)
+    if code == 0 and "--json" in argv:
+        assert out == reference_json(json.loads(out)) + "\n", argv[:6]
+    if code != 0:
+        assert out == "" and err, argv[:6]
