@@ -122,7 +122,11 @@ class ClassCounts(Record):
             order_s, sep, count_s = chunk.partition(":")
             if not sep:
                 raise ValueError(f"expected order:count, got {chunk!r}")
-            if len(count_s) > 4300:  # int() itself refuses more digits than this
+            # int() itself refuses more than 4,300 digits, naming its own limit
+            if len(order_s) > 4300:
+                raise ValueError(f"group order must be in [1, 10^7], "
+                                 f"got {len(order_s)} characters")
+            if len(count_s) > 4300:
                 raise ValueError("class counts must be at most 10^100")
             entries.append((int(order_s), int(count_s)))
         if [n for n, _ in entries] != sorted({n for n, _ in entries}):

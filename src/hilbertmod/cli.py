@@ -24,7 +24,7 @@ the envelope; its ``inputs`` echo the parsed arguments other than
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
 10^4 ``--classes`` entries, class counts <= 10^100 in ``--classes``,
-10^4 ``ranks --q`` degrees, |D| <= 10^8 for
+10^4 ``ranks --q`` degrees of at most 4300 digits each, |D| <= 10^8 for
 ``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands in
 ``--ab``.  Past a cap the command exits 2 and the message names the limit.
 
@@ -60,6 +60,7 @@ __all__ = ["main", "canonical_json"]
 
 SCHEMA_VERSION = "1"
 MAX_DEGREES = 10**4  # degrees in one ``ranks --q`` list
+MAX_DEGREE_DIGITS = 4300  # digits of one degree, as many as int() accepts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -157,11 +158,28 @@ def _json_scalar(value, quote) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _excerpt(text: str, limit: int = 40) -> str:
+    """``text`` quoted, cut to its first ``limit`` characters when longer."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def _parse_q_list(text: str) -> list[int]:
+    parts = text.split(",")
+    # checked before int(), which would name an interpreter setting instead
+    if max(map(len, parts)) > MAX_DEGREE_DIGITS and any(
+            sum(map(str.isdecimal, part)) > MAX_DEGREE_DIGITS for part in parts):
+        raise ValueError(f"degrees must have at most 4300 digits, "
+                         f"got a longer entry in {_excerpt(text)}")
     try:
-        degrees = [int(part) for part in text.split(",") if part.strip() != ""]
+        degrees = [int(part) for part in parts]
     except ValueError as exc:
-        raise ValueError(f"bad degree list {text!r}: {exc}") from exc
+        if not text.strip():
+            raise ValueError("empty degree list") from None
+        if not all(map(str.strip, parts)):
+            raise ValueError(f"empty entry in degree list {_excerpt(text)}") from None
+        raise ValueError(f"bad degree list {_excerpt(text)}: {exc}") from exc
     if len(degrees) > MAX_DEGREES:
         raise ValueError(f"at most 10^4 degrees per --q list are supported, got {len(degrees)}")
     return degrees
@@ -226,13 +244,13 @@ def _cmd_ranks(args) -> tuple[dict, dict, list[str]]:
         f"{label}: m = {counts.m} conjugacy classes "
         f"({', '.join(f'{n}:{c}' for n, c in counts.entries)})"
     ]
-    by_case = {}  # rank_diff depends on q only through its row of the rank table
+    by_row = {}  # rank_diff depends on q only through its row of the rank table
     for q in args.q:
-        case = rank_case(q)
-        row = by_case.get(case)
-        if row is None:
-            row = by_case[case] = (rank_diff(g, q), case.value)
-        value, case_label = row
+        # keyed by the row's label: a str hashes in C, an Enum member in Python
+        case_label = rank_case(q)._value_
+        value = by_row.get(case_label)
+        if value is None:
+            value = by_row[case_label] = rank_diff(g, q)
         rows.append({"q": q, "value": value, "case": case_label})
         lines.append(f"q={q:<4d} {value:<6d} ({case_label})")
     result = {

@@ -46,34 +46,44 @@ class RankCase(Enum):
     ZERO = "otherwise"
 
 
+# The rank kernel runs once per class per degree.  On CPython a member
+# read as ``RankCase.X`` is an Enum class-attribute lookup, about ten times
+# the cost of a module global, so the hot paths compare against these names.
+_Q1_MOD4 = RankCase.Q1_MOD4
+_Q3_MOD4 = RankCase.Q3_MOD4
+_Q_IS_1 = RankCase.Q_IS_1
+_Q_IS_0 = RankCase.Q_IS_0
+_Q_IS_MINUS_1 = RankCase.Q_IS_MINUS_1
+_ZERO = RankCase.ZERO
+_ABOVE_2 = (_ZERO, _Q1_MOD4, _ZERO, _Q3_MOD4)  # the q > 2 rows, by q mod 4
+
+
 def rank_case(q: int) -> RankCase:
     """Which row of the rank table applies to homological degree q."""
-    if q > 2 and q % 4 == 1:
-        return RankCase.Q1_MOD4
-    if q > 2 and q % 4 == 3:
-        return RankCase.Q3_MOD4
+    if q > 2:
+        return _ABOVE_2[q % 4]
     if q == 1:
-        return RankCase.Q_IS_1
+        return _Q_IS_1
     if q == 0:
-        return RankCase.Q_IS_0
+        return _Q_IS_0
     if q == -1:
-        return RankCase.Q_IS_MINUS_1
-    return RankCase.ZERO
+        return _Q_IS_MINUS_1
+    return _ZERO
 
 
 def rank_K_cyclic(n: int, q: int) -> int:
     """Rational rank of K_q(Z[Z_n])."""
     require_order(n)
     case = rank_case(q)
-    if case is RankCase.Q1_MOD4:
+    if case is _Q1_MOD4:
         return r_count(n)
-    if case is RankCase.Q3_MOD4:
+    if case is _Q3_MOD4:
         return c_count(n)
-    if case is RankCase.Q_IS_1:
+    if case is _Q_IS_1:
         return r_count(n) - q_count(n)
-    if case is RankCase.Q_IS_0:
+    if case is _Q_IS_0:
         return 1
-    if case is RankCase.Q_IS_MINUS_1:
+    if case is _Q_IS_MINUS_1:
         rc = rep_counts(n)
         return 1 - rc.q + sum(kp - rp for _, kp, rp in rc.local)
     return 0
@@ -86,7 +96,8 @@ def rank_H_BM(n: int, q: int) -> int:
     1 on the rows q = 0 and q = 1 mod 4 with q > 2, else 0.
     """
     require_order(n)
-    return 1 if rank_case(q) in (RankCase.Q_IS_0, RankCase.Q1_MOD4) else 0
+    case = rank_case(q)
+    return 1 if case is _Q_IS_0 or case is _Q1_MOD4 else 0
 
 
 def wh_cyclic(n: int, q: int) -> AbGroupExpr:

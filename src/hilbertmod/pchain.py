@@ -158,6 +158,12 @@ class TokenKind(Enum):
     WHITEHEAD = "Whq(M)"
 
 
+# plain names for the per-degree loop of rank_E1_column (see finitek)
+_K_GROUP_RING = TokenKind.K_GROUP_RING
+_H_BG = TokenKind.H_BG
+_H_BM = TokenKind.H_BM
+
+
 class CoeffToken(Record):
     """A tagged coefficient atom; ``order`` is the cyclic order of M."""
 
@@ -291,16 +297,17 @@ def rank_E1_column(
     """
     total = 0
     for token, mult in page.column(p).items():
-        if token.kind is TokenKind.H_BG:
+        kind, order = token.kind, token.order
+        if kind is _H_BG:
             continue
-        if token.order is None:
+        if order is None:
             raise ValueError(f"token {token} carries no subgroup order")
-        if token.kind is TokenKind.K_GROUP_RING:
-            total += mult * rank_k(token.order, q)
-        elif token.kind is TokenKind.H_BM:
-            total += mult * rank_h(token.order, q)
+        if kind is _K_GROUP_RING:
+            total += mult * rank_k(order, q)
+        elif kind is _H_BM:
+            total += mult * rank_h(order, q)
         else:
-            total += mult * (rank_k(token.order, q) - rank_h(token.order, q))
+            total += mult * (rank_k(order, q) - rank_h(order, q))
     return total
 
 

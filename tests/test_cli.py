@@ -300,6 +300,45 @@ def test_ranks_requires_some_input(capsys):
     assert "bad degree list" in err
 
 
+@pytest.mark.parametrize("degrees, message", [
+    ("", "error: empty degree list\n"),
+    (",", "error: empty entry in degree list ','\n"),
+    ("1,,2", "error: empty entry in degree list '1,,2'\n"),
+])
+def test_ranks_rejects_empty_degree_lists_and_entries(capsys, degrees, message):
+    assert run_cli(capsys, "ranks", "5", "--q=" + degrees) == (EXIT_INVALID_INPUT, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ranks", "5", "--q=" + "9" * 5000),
+     "error: degrees must have at most 4300 digits, got a longer entry in "),
+    (("ranks", "5", "--q=1,-" + "9" * 4301 + ",2"),
+     "error: degrees must have at most 4300 digits, got a longer entry in "),
+    (("ranks", "--classes", "9" * 5000 + ":1", "--q=1"),
+     "error: group order must be in [1, 10^7], got 5000 characters\n"),
+])
+def test_integers_past_4300_digits_exit_2_under_a_program_limit(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err.startswith(message)
+    assert "set_int_max_str_digits" not in err
+    assert len(err) < 200  # a bounded prefix of the list, not all of it
+
+
+def test_ranks_answers_degrees_of_4300_digits(capsys):
+    q = 10**4300 - 1  # 4,300 nines: q > 2 and q = 3 mod 4
+    payload = run_json(capsys, "ranks", "5", f"--q=-{q}, {q} ")
+    assert [(row["q"], row["value"]) for row in payload["result"]["rows"]] == [(-q, 0), (q, 6)]
+
+
+def test_bad_degree_list_quotes_a_bounded_prefix(capsys):
+    degrees = ",".join(["1"] * 2000 + ["x"])
+    code, _, err = run_cli(capsys, "ranks", "5", "--q=" + degrees)
+    assert code == EXIT_INVALID_INPUT
+    assert err == (f"error: bad degree list {degrees[:40]!r}... (4001 characters): "
+                   "invalid literal for int() with base 10: 'x'\n")
+
+
 # ---------------------------------------------------------------------------
 # whitehead
 # ---------------------------------------------------------------------------

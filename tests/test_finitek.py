@@ -12,7 +12,13 @@ from hilbertmod.finitek import (
     wh_cyclic,
 )
 
-from oracles import kp_formula, rp_formula
+from oracles import (
+    complex_type_orbits,
+    kp_formula,
+    rational_irred_orbits,
+    real_irred_orbits,
+    rp_formula,
+)
 
 
 def test_case_labels():
@@ -83,6 +89,52 @@ def test_rank_H_BM():
     assert rank_H_BM(3, -1) == 0
     with pytest.raises(ValueError):
         rank_H_BM(0, 0)
+
+
+# Degrees on each row of the module docstring's table, large ones included.
+DEGREES_BY_ROW = {
+    RankCase.Q1_MOD4: (5, 9, 1997, 10**30 + 1),
+    RankCase.Q3_MOD4: (3, 7, 1999, 10**30 + 3),
+    RankCase.Q_IS_1: (1,),
+    RankCase.Q_IS_0: (0,),
+    RankCase.Q_IS_MINUS_1: (-1,),
+    RankCase.ZERO: (2, 4, 6, 2000, 10**30, -2, -12, -(10**30)),
+}
+
+
+def _table_rows(r, c, q, local_sum):
+    """rank K_q(Z[M]) per row of the docstring table, from the counts of M."""
+    return {
+        RankCase.Q1_MOD4: r,
+        RankCase.Q3_MOD4: c,
+        RankCase.Q_IS_1: r - q,
+        RankCase.Q_IS_0: 1,
+        RankCase.Q_IS_MINUS_1: 1 - q + local_sum,
+        RankCase.ZERO: 0,
+    }
+
+
+def _oracle_rows(n):
+    local_sum = sum(kp_formula(n, p) - rp_formula(n, p) for p in prime_divisors(n))
+    return _table_rows(real_irred_orbits(n), complex_type_orbits(n),
+                       rational_irred_orbits(n), local_sum)
+
+
+# 9999991 is prime: r = (n + 1)/2, c = (n - 1)/2, two divisors, and
+# Q_p(zeta_p) is one ramified orbit above the trivial one, so k_p - r_p = 2 - 1.
+ROWS_BY_ORDER = {n: _oracle_rows(n) for n in range(2, 13)}
+ROWS_BY_ORDER[9999991] = _table_rows(4999996, 4999995, 2, 1)
+
+
+def test_rank_tables_match_the_docstring_table_row_by_row():
+    assert set(DEGREES_BY_ROW) == set(RankCase)
+    for n, rows in ROWS_BY_ORDER.items():
+        for case, degrees in DEGREES_BY_ROW.items():
+            h_rank = 1 if case in (RankCase.Q_IS_0, RankCase.Q1_MOD4) else 0
+            for q in degrees:
+                assert rank_case(q) is case, q
+                assert rank_K_cyclic(n, q) == rows[case], (n, q)
+                assert rank_H_BM(n, q) == h_rank, (n, q)
 
 
 @pytest.mark.parametrize("n", [0, 10**7 + 1])

@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from hilbertmod.assembler import ClassCounts, GroupData, Mode, rank_diff
+from hilbertmod.assembler import (
+    ClassCounts,
+    GroupData,
+    Mode,
+    class_counts_for_field,
+    rank_diff,
+    rank_diff_from_case_table,
+)
 from hilbertmod.pchain import (
     CoeffToken,
     E1Page,
@@ -20,6 +27,8 @@ from hilbertmod.pchain import (
     rank_E1_column,
     sl_poset,
 )
+
+from hilbertmod.quadfield import FieldSpec
 
 from oracles import closure_pairs, naive_pchains, permutation_pchains
 
@@ -268,6 +277,25 @@ def test_column_subtraction_reproduces_rank_diff():
         for q in range(-3, 22):
             delta = rank_E1_column(page, 0, q) - rank_E1_column(page, 1, q)
             assert delta == rank_diff(g, q), (counts, q)
+
+
+def test_three_rank_routes_agree_on_the_degree_table_sources():
+    # the sources and degree range of perfbench's degree_table workload:
+    # d = 5 with its built-in counts, d = 2, 3, 13 over their allowed
+    # orders, and a generic group
+    sources = [
+        (FieldSpec(5), class_counts_for_field(FieldSpec(5))),
+        (FieldSpec(2), ClassCounts.parse("2:3,3:1,4:2")),
+        (FieldSpec(3), ClassCounts.parse("2:1,3:4,6:2")),
+        (FieldSpec(13), ClassCounts.parse("2:2,3:3")),
+        ("generic", ClassCounts.parse("2:1,3:1")),
+    ]
+    for source, counts in sources:
+        g = GroupData(source=source, class_counts=counts, mode=Mode.PSL)
+        page = build_E1(psl_poset(counts), relative_to_trivial=False, class_counts=counts)
+        for q in range(-12, 2000):
+            e1 = rank_E1_column(page, 0, q) - rank_E1_column(page, 1, q)
+            assert e1 == rank_diff(g, q) == rank_diff_from_case_table(g, q), (counts, q)
 
 
 def test_relative_page_ranks_match_whitehead_free_rank():
