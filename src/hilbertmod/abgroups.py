@@ -16,10 +16,12 @@ from __future__ import annotations
 from collections import Counter
 
 from ._record import Record
+from ._text import excerpt, over_digit_cap
 
-__all__ = ["MAX_TORSION_SUMMANDS", "AbGroupExpr"]
+__all__ = ["MAX_FREE_RANK", "MAX_TORSION_SUMMANDS", "AbGroupExpr"]
 
 MAX_TORSION_SUMMANDS = 10**4  # cyclic summands one parsed expression may list
+MAX_FREE_RANK = 10**100  # free rank one parsed expression may have
 
 
 class AbGroupExpr(Record):
@@ -122,7 +124,10 @@ class AbGroupExpr(Record):
 
     @classmethod
     def parse(cls, text: str) -> "AbGroupExpr":
-        """Parse ``"Z^2 + 3*Z/2"``; at most 10^4 torsion summands in total."""
+        """Parse ``"Z^2 + 3*Z/2"``; at most 10^4 torsion summands and free rank 10^100.
+
+        Messages quote at most a bounded prefix of the text.
+        """
         text = text.strip()
         if text == "0":
             return cls.zero()
@@ -131,23 +136,37 @@ class AbGroupExpr(Record):
         for raw in text.split("+"):
             term = raw.strip()
             if not term:
-                raise ValueError(f"empty summand in {text!r}")
+                raise ValueError(f"empty summand in {excerpt(text)}")
             mult = 1
             if "*" in term:
                 head, _, term = term.partition("*")
-                mult = int(head.strip())
+                mult = _parse_int(head.strip())
                 term = term.strip()
                 if mult < 1:
                     raise ValueError("summand multiplicity must be >= 1")
             if term == "Z":
                 free += mult
             elif term.startswith("Z^"):
-                free += mult * int(term[2:])
+                rank = _parse_int(term[2:])
+                if rank < 0:
+                    raise ValueError(f"free rank exponents must be nonnegative, "
+                                     f"got {excerpt(term)}")
+                free += mult * rank
             elif term.startswith("Z/"):
                 if len(torsion) + mult > MAX_TORSION_SUMMANDS:
                     raise ValueError(f"at most 10^4 torsion summands are supported, "
-                                     f"{text!r} has more")
-                torsion.extend([int(term[2:])] * mult)
+                                     f"{excerpt(text)} has more")
+                torsion.extend([_parse_int(term[2:])] * mult)
             else:
-                raise ValueError(f"cannot parse abelian group summand {term!r}")
+                raise ValueError(f"cannot parse abelian group summand {excerpt(term)}")
+        if free > MAX_FREE_RANK:
+            raise ValueError(f"free rank must be at most 10^100, got more in {excerpt(text)}")
         return cls(free_rank=free, torsion=tuple(torsion))
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)``; past 4300 digits a message that names the program's limit."""
+    if over_digit_cap(text):
+        raise ValueError(f"integers in an abelian group must have at most 4300 digits, "
+                         f"got {excerpt(text)}")
+    return int(text)

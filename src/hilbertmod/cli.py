@@ -24,9 +24,11 @@ the envelope; its ``inputs`` echo the parsed arguments other than
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
 10^4 ``--classes`` entries, class counts <= 10^100 in ``--classes``,
-10^4 ``ranks --q`` degrees of at most 4300 digits each, |D| <= 10^8 for
-``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands in
-``--ab``.  Past a cap the command exits 2 and the message names the limit.
+10^4 ``ranks --q`` degrees, at most 4300 digits in every integer (each
+integer argument, each degree and each ``--ab`` integer), |D| <= 10^8 for
+``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands and
+free rank at most 10^100 in ``--ab``.  Past a cap the command exits 2 and
+the message names the limit.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error (its traceback follows on stderr).
@@ -35,8 +37,11 @@ Exit codes: 0 success, 2 invalid input, 3 missing class data,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 
+from ._text import MAX_DIGITS, excerpt, over_digit_cap
 from .abgroups import AbGroupExpr
 from .assembler import (
     ClassCounts,
@@ -60,7 +65,6 @@ __all__ = ["main", "canonical_json"]
 
 SCHEMA_VERSION = "1"
 MAX_DEGREES = 10**4  # degrees in one ``ranks --q`` list
-MAX_DEGREE_DIGITS = 4300  # digits of one degree, as many as int() accepts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -158,28 +162,35 @@ def _json_scalar(value, quote) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _excerpt(text: str, limit: int = 40) -> str:
-    """``text`` quoted, cut to its first ``limit`` characters when longer."""
-    if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+def _int_arg(text: str) -> int:
+    """The argparse ``type=`` of every integer argument: ``int()``, within 4300 digits.
+
+    The value is quoted through ``excerpt``: up to 20 characters it reads as
+    argparse's own ``invalid int value: 'x'``, and a longer one is cut there.
+    """
+    if over_digit_cap(text):
+        raise argparse.ArgumentTypeError(
+            f"integers must have at most 4300 digits, got {excerpt(text, 20)}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text, 20)}") from None
 
 
 def _parse_q_list(text: str) -> list[int]:
     parts = text.split(",")
     # checked before int(), which would name an interpreter setting instead
-    if max(map(len, parts)) > MAX_DEGREE_DIGITS and any(
-            sum(map(str.isdecimal, part)) > MAX_DEGREE_DIGITS for part in parts):
+    if max(map(len, parts)) > MAX_DIGITS and any(map(over_digit_cap, parts)):
         raise ValueError(f"degrees must have at most 4300 digits, "
-                         f"got a longer entry in {_excerpt(text)}")
+                         f"got a longer entry in {excerpt(text)}")
     try:
         degrees = [int(part) for part in parts]
     except ValueError as exc:
         if not text.strip():
             raise ValueError("empty degree list") from None
         if not all(map(str.strip, parts)):
-            raise ValueError(f"empty entry in degree list {_excerpt(text)}") from None
-        raise ValueError(f"bad degree list {_excerpt(text)}: {exc}") from exc
+            raise ValueError(f"empty entry in degree list {excerpt(text)}") from None
+        raise ValueError(f"bad degree list {excerpt(text)}: {exc}") from exc
     if len(degrees) > MAX_DEGREES:
         raise ValueError(f"at most 10^4 degrees per --q list are supported, got {len(degrees)}")
     return degrees
@@ -333,22 +344,47 @@ def _cmd_chains(args) -> tuple[dict, dict, list[str]]:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+def _help_width() -> int:
+    """The help width argparse picks: ``shutil.get_terminal_size().columns - 2``.
+
+    That is COLUMNS when it is a positive int, else the width of the
+    terminal on ``sys.__stdout__``, else 80, computed here without shutil.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    return columns - 2
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # Every parser's formatters get their width up front.  Without one, each
+    # formatter argparse makes (one per argument, to check its metavar) asks
+    # shutil for the terminal size, and importing shutil costs about 5 ms of
+    # every cold start.
+    formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = argparse.ArgumentParser(
         prog="hilbertmod",
         description="Exact Whitehead-group and K-theory rank calculator "
                     "for Hilbert modular groups over real quadratic fields.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, formatter_class=formatter))
 
     p_field = sub.add_parser("field", help="elliptic trace census of Q(sqrt(d))")
-    p_field.add_argument("d", type=int, help="square-free integer in [2, 10^12]")
+    p_field.add_argument("d", type=_int_arg, help="square-free integer in [2, 10^12]")
     p_field.add_argument("--approx", action="store_true",
                          help="also print decimal approximations (approximate!)")
     p_field.set_defaults(func=_cmd_field)
 
     p_ranks = sub.add_parser("ranks", help="rank differences per degree q")
-    p_ranks.add_argument("d", type=int, nargs="?", default=None)
+    p_ranks.add_argument("d", type=_int_arg, nargs="?", default=None)
     p_ranks.add_argument("--classes", help="order:count pairs, e.g. 2:2,3:2,5:2")
     p_ranks.add_argument("--q", required=True,
                          help="comma-separated degrees; write --q=-1,7 when the list "
@@ -356,27 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_ranks.set_defaults(func=_cmd_ranks)
 
     p_wh = sub.add_parser("whitehead", help="Whitehead group expression")
-    p_wh.add_argument("d", type=int, nargs="?", default=None)
+    p_wh.add_argument("d", type=_int_arg, nargs="?", default=None)
     p_wh.add_argument("--classes", help="order:count pairs, e.g. 2:1,3:1")
     p_wh.add_argument("--mode", choices=["psl", "sl"], default="psl")
-    p_wh.add_argument("--q", type=int, required=True)
+    p_wh.add_argument("--q", type=_int_arg, required=True)
     p_wh.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" '
                                    'or "0"; at most 10^4 torsion summands')
     p_wh.set_defaults(func=_cmd_whitehead)
 
     p_reps = sub.add_parser("reps", help="representation counts of Z_n")
-    p_reps.add_argument("n", type=int)
+    p_reps.add_argument("n", type=_int_arg)
     p_reps.set_defaults(func=_cmd_reps)
 
     p_cn = sub.add_parser("classnum", help="class number of a discriminant D < 0")
-    p_cn.add_argument("D", type=int)
+    p_cn.add_argument("D", type=_int_arg)
     p_cn.set_defaults(func=_cmd_classnum)
 
     p_ch = sub.add_parser("chains", help="chain census of an orbit poset")
     p_ch.add_argument("--poset", choices=["psl", "sl"], required=True)
-    p_ch.add_argument("--m", type=int, required=True,
+    p_ch.add_argument("--m", type=_int_arg, required=True,
                       help="number of maximal conjugacy classes, at most 10^4")
-    p_ch.add_argument("--p", type=int, required=True, help="chain length index")
+    p_ch.add_argument("--p", type=_int_arg, required=True, help="chain length index")
     p_ch.set_defaults(func=_cmd_chains)
 
     for p_cmd in sub.choices.values():

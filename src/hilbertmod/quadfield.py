@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 
 from ._record import Record
 from .cyclicreps import prime_powers
@@ -92,6 +91,7 @@ class FieldSpec(Record):
 
     def omega(self) -> "QuadElem":
         """Second element of the integral basis (1, omega) of O_k."""
+        from fractions import Fraction  # on first use: only a QuadElem needs it
         if self.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
             return QuadElem(Fraction(1, 2), Fraction(1, 2), self)
         return QuadElem(Fraction(0), Fraction(1), self)
@@ -102,6 +102,7 @@ class FieldSpec(Record):
 
     def from_basis(self, u: int, v: int) -> "QuadElem":
         """The algebraic integer u + v*omega."""
+        from fractions import Fraction  # on first use: only a QuadElem needs it
         if self.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
             return QuadElem(Fraction(2 * u + v, 2), Fraction(v, 2), self)
         return QuadElem(Fraction(u), Fraction(v), self)
@@ -118,6 +119,7 @@ class QuadElem(Record):
     __slots__ = ("a", "b", "field")
 
     def __init__(self, a, b, field: FieldSpec) -> None:
+        from fractions import Fraction  # on first use: the census runs on integers alone
         object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
         object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
         object.__setattr__(self, "field", field)
@@ -307,6 +309,7 @@ def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
     read from the table by the key (x, x^2 - y^2*d).  Candidates are
     returned sorted by (a, b), which is the (x, y) order of the scan.
     """
+    from fractions import Fraction  # on first use: only a QuadElem needs it
     return tuple(
         TraceCandidate(QuadElem(Fraction(x, 2), Fraction(y, 2), field), n)
         for x, y, n in _elliptic_scan(field.d)

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from hilbertmod import classnumbers, cli
+from hilbertmod.abgroups import MAX_FREE_RANK, AbGroupExpr
 from hilbertmod.assembler import (
     MAX_CLASS_COUNT,
     MAX_CLASS_ENTRIES,
@@ -28,6 +34,8 @@ from hilbertmod.finitek import rank_K_cyclic
 from hilbertmod.quadfield import FieldSpec
 
 from oracles import kp_formula, reference_json, rp_formula
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +395,38 @@ def test_whitehead_class_count_past_sys_maxsize(capsys):
         assert out == f"Wh_{q} of PSL2(O_k), k = generic: {expected}\n", classes
 
 
+WH_SL = ("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1")
+
+
+@pytest.mark.parametrize("ab, message", [
+    ("Z^-3 + Z^5", "error: free rank exponents must be nonnegative, got 'Z^-3'\n"),
+    ("+".join(["Z/2"] * 10001), "error: at most 10^4 torsion summands are supported, "),
+    ("Q" * 6000, "error: cannot parse abelian group summand 'QQQQ"),
+    ("Z/" + "x" * 6000, "error: invalid literal for int() with base 10: 'xxxx"),
+    ("Z^" + "9" * 5000, "error: integers in an abelian group must have at most 4300 digits, "),
+    ("Z/" + "9" * 5000, "error: integers in an abelian group must have at most 4300 digits, "),
+    ("9" * 5000 + "*Z/2", "error: integers in an abelian group must have at most 4300 digits, "),
+    (f"Z^{MAX_FREE_RANK + 1}", "error: free rank must be at most 10^100, "),
+    (f"2*Z^{MAX_FREE_RANK}", "error: free rank must be at most 10^100, "),
+    (f"Z^{MAX_FREE_RANK} + Z", "error: free rank must be at most 10^100, "),
+], ids=["negative-exponent", "10001-summands", "bad-summand", "bad-torsion-order",
+        "huge-exponent", "huge-torsion-order", "huge-multiplicity", "rank-past-cap",
+        "scaled-rank-past-cap", "summed-rank-past-cap"])
+def test_ab_rejects_negative_exponents_and_long_input_in_a_bounded_message(capsys, ab, message):
+    code, out, err = run_cli(capsys, *WH_SL, "--ab", ab)
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err.startswith(message)
+    assert "set_int_max_str_digits" not in err
+    assert len(err) < 300
+
+
+def test_ab_free_rank_up_to_its_cap(capsys):
+    for ab in (f"Z^{MAX_FREE_RANK}", f"Z^{MAX_FREE_RANK - 1} + Z", "Z^0 + Z^3"):
+        code, out, err = run_cli(capsys, *WH_SL, "--ab", ab)
+        assert (code, err) == (EXIT_OK, ""), ab
+        assert out == f"Wh_1 of SL2(O_k), k = generic: {AbGroupExpr.parse(ab)} + Z/2\n", ab
+
+
 # ---------------------------------------------------------------------------
 # reps / classnum / chains
 # ---------------------------------------------------------------------------
@@ -647,6 +687,123 @@ def test_internal_error_exits_1_with_its_traceback(capsys, monkeypatch):
         assert (code, out) == (1, "")
         assert err.splitlines()[0] == "internal error: boom"
         assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# ---------------------------------------------------------------------------
+# Parser: integer arguments, help width and help text
+# ---------------------------------------------------------------------------
+
+def run_argparse_error(capsys, *argv):
+    """Exit code and stderr of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+def test_every_integer_argument_goes_through_one_bounded_type():
+    parser = cli.build_parser()
+    typed = {(name, action.dest): action.type
+             for name, sub in parser._subparsers._group_actions[0].choices.items()
+             for action in sub._actions if action.type is not None}
+    assert set(typed) == {("field", "d"), ("ranks", "d"), ("whitehead", "d"), ("whitehead", "q"),
+                          ("reps", "n"), ("classnum", "D"), ("chains", "m"), ("chains", "p")}
+    assert set(typed.values()) == {cli._int_arg}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("reps", "9" * 5000), "argument n: integers must have at most 4300 digits, "),
+    (("whitehead", "5", "--q", "9" * 5000),
+     "argument --q: integers must have at most 4300 digits, "),
+    (("reps", "x" * 5000), "argument n: invalid int value: 'xxxxxxxxxxxxxxxxxxxx'... "),
+    (("whitehead", "5", "--q", "x" * 5000), "argument --q: invalid int value: 'xxxx"),
+], ids=["reps-nines", "whitehead-q-nines", "reps-letters", "whitehead-q-letters"])
+def test_integer_arguments_quote_a_bounded_prefix(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, err = run_argparse_error(capsys, *argv)
+    assert code == EXIT_INVALID_INPUT
+    assert message in err
+    assert "set_int_max_str_digits" not in err
+    assert len(err) < 300
+
+
+def test_short_bad_integer_keeps_argparses_message(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_argparse_error(capsys, "reps", "abc") == (EXIT_INVALID_INPUT, (
+        "usage: hilbertmod reps [-h] [--json] n\n"
+        "hilbertmod reps: error: argument n: invalid int value: 'abc'\n"))
+
+
+def test_integer_arguments_accept_what_int_accepts(capsys):
+    for text in (" 7 ", "+7", "0_7", "\u0667"):  # U+0667 is the Arabic-Indic digit 7
+        assert run_json(capsys, "reps", text)["result"]["n"] == 7, text
+    # 4,300 digits still parse; the command then names its own cap
+    code, _, err = run_cli(capsys, "classnum", "-" + "9" * 4300)
+    assert code == EXIT_INVALID_INPUT
+    assert "10^8" in err
+
+
+HELP_WIDTH_CHILD = """
+import json, os, shutil, sys
+from hilbertmod.cli import _help_width
+widths = []
+for value in (None, "", "0", "-3", "abc", "40", "300"):
+    os.environ.pop("COLUMNS", None)
+    if value is not None:
+        os.environ["COLUMNS"] = value
+    widths.append((_help_width(), shutil.get_terminal_size().columns - 2))
+print(json.dumps(widths), file=sys.stderr)
+"""
+
+
+def _help_widths(stdout):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("COLUMNS", None)
+    proc = subprocess.run([sys.executable, "-c", HELP_WIDTH_CHILD], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, check=True)
+    return json.loads(proc.stderr)
+
+
+def test_help_width_is_what_argparse_computes_with_stdout_on_a_pipe():
+    widths = _help_widths(subprocess.PIPE)
+    assert [ours for ours, _ in widths] == [78, 78, 78, 78, 78, 38, 298]
+    assert [ours for ours, _ in widths] == [stock for _, stock in widths]
+
+
+def test_help_width_is_what_argparse_computes_with_stdout_on_a_terminal():
+    import fcntl
+    import struct
+    import termios
+
+    leader, follower = os.openpty()
+    try:
+        fcntl.ioctl(follower, termios.TIOCSWINSZ, struct.pack("HHHH", 24, 123, 0, 0))
+        widths = _help_widths(follower)
+    finally:
+        os.close(leader)
+        os.close(follower)
+    assert [ours for ours, _ in widths] == [121, 121, 121, 121, 121, 38, 298]
+    assert [ours for ours, _ in widths] == [stock for _, stock in widths]
+
+
+def _help_goldens():
+    """(columns, argv, text) of each -h golden, captured before argparse was given a width."""
+    name = "help-py313.txt" if sys.version_info >= (3, 13) else "help.txt"
+    text = (Path(__file__).parent / "golden" / name).read_text()
+    parts = re.split(r"^==> COLUMNS=(\d+) hilbertmod (.*) <==\n", text, flags=re.M)
+    return [(parts[i], parts[i + 1].split(), parts[i + 2]) for i in range(1, len(parts), 3)]
+
+
+def test_help_output_matches_the_goldens(capsys, monkeypatch):
+    goldens = _help_goldens()
+    assert len(goldens) == 14
+    for columns, argv, text in goldens:
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == text, (columns, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 About 600 ``ranks`` and ``whitehead`` argv drawn from a small grammar: field
 discriminants, ``--classes`` specs, degree lists, modes and ``--ab`` values,
-each valid, edge-case, huge or malformed, including lists just under and
-just over the 10^4 caps.  About 400 more ``field``, ``reps``, ``classnum``
+each valid, edge-case, huge or malformed (``--ab`` integers past 4,300
+digits and free ranks past 10^100 among them), including lists just under
+and just over the 10^4 caps.  About 400 more ``field``, ``reps``, ``classnum``
 and ``chains`` argv draw each integer the same way, with the values at and
-just past each cap.  Every call must exit 0, 2, 3 or 4 within 5 s;
+just past each cap.  Every call must exit 0, 2, 3 or 4 within 5 s, with
+a few hundred bytes of stderr at most and no interpreter limit named;
 ``--json`` output must re-serialize, by json's own encoder, to the same
 bytes; and every ``ranks`` row that is printed must equal the case-table
 route and, where the E1 page can be built (m <= 10^4 classes), the
@@ -46,7 +48,10 @@ BAD_CLASSES = ["", ",", "2", "2:", ":1", "2:1:1", "a:b", "2:1,", "0:1", "1:1", "
 BAD_DEGREES = ["", ",", "1,,2", "x", "1.5", "1,x", f"{HUGE}", f"-{HUGE}", " 7 ", "0x5",
                "1e3", "9" * 5000]
 BAD_AB = ["", "Z/1", "Z/0", "Z^-1", "-1*Z/2", "0*Z", "Q", "Z/2 +", "+", "Z^x",
-          "10000*Z/2", "10001*Z/2", "Z^2 + 3*Z/2", f"Z^{HUGE}", "Z/" + HUGE]
+          "10000*Z/2", "10001*Z/2", "Z^2 + 3*Z/2", f"Z^{HUGE}", "Z/" + HUGE,
+          "Z^-3 + Z^5", "Z^" + "9" * 5000, "Z/" + "9" * 5000, "9" * 5000 + "*Z/2",
+          "Z^" + "9" * 4300, "x" * 6000 + "*Z", "Z/" + "x" * 6000, "Q" * 6000,
+          "+".join(["Z/2"] * 10001), f"Z^{10**100}", f"Z^{10**100 + 1}", "Z^1_0 + Z/0x2"]
 
 
 def _classes(rng):
@@ -231,3 +236,5 @@ def _check_call(argv, code, out, err, elapsed):
         assert out == reference_json(json.loads(out)) + "\n", argv[:6]
     if code != 0:
         assert out == "" and err, argv[:6]
+    # a bounded excerpt of any long input, and the program's own limits
+    assert len(err) < 500 and "set_int_max_str_digits" not in err, (argv[:6], err[:500])

@@ -6,6 +6,10 @@ pulls in is paid for on each call.  The records are plain classes and
 modules below may load.  Every pipeline module must: the traced cold
 child of ``perfbench`` imports only ``hilbertmod.cli`` and then looks each
 traced module up in ``sys.modules``.
+
+Running a command must not load ``shutil`` (argparse imports it to size
+help text, and it pulls in the compression modules) or ``fractions``
+(only a ``QuadElem`` needs it, so only ``field`` and library callers).
 """
 
 import os
@@ -29,3 +33,40 @@ def test_cli_import_loads_no_heavy_module_and_every_pipeline_module():
     loaded = dict(zip(names, proc.stdout.split()))
     assert [n for n in NOT_LOADED if loaded[n] == "True"] == []
     assert [n for n in LOADED if loaded[n] != "True"] == []
+
+
+# Commands that build no QuadElem; run in one process, they load none of these.
+COMMANDS = (["reps", "5"], ["classnum", "-23"], ["chains", "--poset", "sl", "--m", "6", "--p", "2"],
+            ["ranks", "5", "--q", "5,7,1,0,-1"], ["whitehead", "5", "--mode", "sl", "--q", "1"])
+NOT_LOADED_BY_COMMANDS = ("fractions", "decimal", "shutil", "bz2", "lzma", "zlib")
+FIELD_5 = """\
+field Q(sqrt(5))
+integral basis: 1, (1+sqrt(5))/2
+trace candidates (7):
+  -1  order 3
+  -1/2 - 1/2*sqrt(5)  order 5
+  -1/2 + 1/2*sqrt(5)  order 5
+  0  order 2
+  1/2 - 1/2*sqrt(5)  order 5
+  1/2 + 1/2*sqrt(5)  order 5
+  1  order 3
+allowed orders: 2, 3, 5
+"""
+
+
+def test_commands_load_neither_shutil_nor_fractions_until_field():
+    code = (
+        "import io, sys\n"
+        "from hilbertmod.cli import main\n"
+        "real, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"codes = [main(argv) for argv in {COMMANDS!r}]\n"
+        f"loaded = [n for n in {NOT_LOADED_BY_COMMANDS!r} if n in sys.modules]\n"
+        "sys.stdout = real\n"
+        "print(codes, loaded)\n"
+        "main(['field', '5'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    summary, _, field = proc.stdout.partition("\n")
+    assert summary == "[0, 0, 0, 0, 0] []"
+    assert field == FIELD_5
