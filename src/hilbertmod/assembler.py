@@ -30,6 +30,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
+from ._text import excerpt
 from .abgroups import AbGroupExpr
 from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
 from .cyclicreps import require_order
@@ -118,10 +119,10 @@ class ClassCounts(Record):
         for chunk in spec.split(","):
             chunk = chunk.strip()
             if not chunk:
-                raise ValueError(f"empty entry in class spec {spec!r}")
+                raise ValueError(f"empty entry in class spec {excerpt(spec)}")
             order_s, sep, count_s = chunk.partition(":")
             if not sep:
-                raise ValueError(f"expected order:count, got {chunk!r}")
+                raise ValueError(f"expected order:count, got {excerpt(chunk)}")
             # int() itself refuses more than 4,300 digits, naming its own limit
             if len(order_s) > 4300:
                 raise ValueError(f"group order must be in [1, 10^7], "
@@ -244,10 +245,10 @@ def rank_diff_from_case_table(g: GroupData, q: int) -> int:
     if g.mode is not Mode.PSL:
         raise ValueError("the rank difference formula applies to the projective group")
     entries = g.class_counts.entries
-    if q > 2 and q % 4 == 1:
-        return sum(count * r_count(n) for n, count in entries) - g.class_counts.m
-    if q > 2 and q % 4 == 3:
-        return sum(count * c_count(n) for n, count in entries)
+    if q > 2:
+        if q % 4 == 1:
+            return sum(count * r_count(n) for n, count in entries) - g.class_counts.m
+        return sum(count * c_count(n) for n, count in entries) if q % 4 == 3 else 0
     if q == 1:
         return sum(count * (r_count(n) - q_count(n)) for n, count in entries)
     if q == -1:

@@ -29,8 +29,9 @@ at MAX_ABS_DISCRIMINANT = 10^8, where one enumeration takes tens of ms.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd, isqrt
+
+from .cyclicreps import _primes_up_to
 
 __all__ = ["MAX_ABS_DISCRIMINANT", "is_discriminant", "reduced_forms", "class_number"]
 
@@ -47,16 +48,6 @@ def _require_discriminant(D: int) -> None:
         raise ValueError(f"{D} is not a negative discriminant (need D < 0, D = 0 or 1 mod 4)")
     if -D > MAX_ABS_DISCRIMINANT:
         raise ValueError(f"|D| must be at most 10^8, got D = {D}")
-
-
-def _primes_up_to(n: int) -> list[int]:
-    """The primes <= n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:

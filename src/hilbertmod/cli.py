@@ -17,9 +17,10 @@ Every numeric result carries a provenance tag: "paper-table" for values
 taken from the built-in published tables, "computed" for everything
 derived here.
 
-Subcommands return (result, provenance, lines) and ``main`` alone builds
-the envelope; its ``inputs`` echo the parsed arguments other than
-``--json``, with the ``ranks`` degrees as a list of integers.
+Subcommands return (result, provenance); ``main`` renders only what it
+prints: the envelope under ``--json``, else the text that ``_TEXT``
+renders from the same result.  ``inputs`` echo the parsed arguments other
+than ``--json``, with the ``ranks`` degrees as a list of integers.
 
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
@@ -99,29 +100,28 @@ def _write_json(value, put, quote, indent: str) -> None:
             put("{}")
             return
         inner = indent + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key in sorted(value):
             item = value[key]
-            name = key if isinstance(key, str) else _json_scalar(key, quote)
-            head = f"{sep}{quote(name)}: "
+            name = quote(key if type(key) is str else _json_scalar(key, quote))
             kind = type(item)
             if kind is int:
-                put(f"{head}{item}")
+                put(f"{sep}{name}: {item}")
             elif kind is str:
-                put(head + quote(item))
+                put(f"{sep}{name}: {quote(item)}")
             elif isinstance(item, (dict, list, tuple)):
-                put(head)
+                put(f"{sep}{name}: ")
                 _write_json(item, put, quote, inner)
             else:
-                put(head + _json_scalar(item, quote))
-            sep = "," + inner
+                put(f"{sep}{name}: {_json_scalar(item, quote)}")
+            sep = comma
         put(indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
             return
         inner = indent + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in value:
             kind = type(item)
             if kind is int:
@@ -133,7 +133,7 @@ def _write_json(value, put, quote, indent: str) -> None:
                 _write_json(item, put, quote, inner)
             else:
                 put(sep + _json_scalar(item, quote))
-            sep = "," + inner
+            sep = comma
         put(indent + "]")
     else:
         put(_json_scalar(value, quote))
@@ -212,49 +212,48 @@ def _group_inputs(args) -> tuple[ClassCounts, FieldSpec | str, str]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_field(args) -> tuple[dict, dict, list[str]]:
+def _cmd_field(args) -> tuple[dict, dict]:
     field = FieldSpec(args.d)
-    candidates = elliptic_trace_candidates(field)
-    orders = allowed_orders(field)
     cand_payload = []
-    lines = [
-        f"field Q(sqrt({field.d}))",
-        f"integral basis: 1, {field.omega_str()}",
-        f"trace candidates ({len(candidates)}):",
-    ]
-    for cand in candidates:
+    for cand in elliptic_trace_candidates(field):
         entry = {"trace": str(cand.trace), "psl_order": cand.psl_order}
-        line = f"  {cand.trace}  order {cand.psl_order}"
         if args.approx:
             entry["approx_embeddings"] = [
                 embed(cand.trace, 1).approx(),
                 embed(cand.trace, 2).approx(),
             ]
-            line += (f"  ~ ({embed(cand.trace, 1).approx():.6f}, "
-                     f"{embed(cand.trace, 2).approx():.6f})")
         cand_payload.append(entry)
-        lines.append(line)
-    lines.append("allowed orders: " + ", ".join(str(n) for n in orders))
     result = {
         "d": field.d,
         "omega": field.omega_str(),
         "integral_basis": ["1", field.omega_str()],
         "trace_candidates": cand_payload,
-        "allowed_orders": list(orders),
+        "allowed_orders": list(allowed_orders(field)),
     }
-    return result, {"trace_candidates": "computed", "allowed_orders": "computed"}, lines
+    return result, {"trace_candidates": "computed", "allowed_orders": "computed"}
 
 
-def _cmd_ranks(args) -> tuple[dict, dict, list[str]]:
+def _field_text(args, result) -> str:
+    candidates = result["trace_candidates"]
+    lines = [
+        f"field Q(sqrt({result['d']}))",
+        f"integral basis: 1, {result['omega']}",
+        f"trace candidates ({len(candidates)}):",
+    ]
+    for entry in candidates:
+        line = f"  {entry['trace']}  order {entry['psl_order']}"
+        if args.approx:
+            line += "  ~ ({:.6f}, {:.6f})".format(*entry["approx_embeddings"])
+        lines.append(line)
+    lines.append("allowed orders: " + ", ".join(map(str, result["allowed_orders"])))
+    return "\n".join(lines)
+
+
+def _cmd_ranks(args) -> tuple[dict, dict]:
     counts, source, counts_tag = _group_inputs(args)
     g = GroupData(source=source, class_counts=counts, mode=Mode.PSL)
     args.q = _parse_q_list(args.q)  # the inputs echo lists the parsed degrees
     rows = []
-    label = g.label()
-    lines = [
-        f"{label}: m = {counts.m} conjugacy classes "
-        f"({', '.join(f'{n}:{c}' for n, c in counts.entries)})"
-    ]
     by_row = {}  # rank_diff depends on q only through its row of the rank table
     for q in args.q:
         # keyed by the row's label: a str hashes in C, an Enum member in Python
@@ -263,17 +262,23 @@ def _cmd_ranks(args) -> tuple[dict, dict, list[str]]:
         if value is None:
             value = by_row[case_label] = rank_diff(g, q)
         rows.append({"q": q, "value": value, "case": case_label})
-        lines.append(f"q={q:<4d} {value:<6d} ({case_label})")
     result = {
-        "group": label,
+        "group": g.label(),
         "class_counts": {str(n): c for n, c in counts.entries},
         "m": counts.m,
         "rows": rows,
     }
-    return result, {"class_counts": counts_tag, "m": counts_tag, "rows": "computed"}, lines
+    return result, {"class_counts": counts_tag, "m": counts_tag, "rows": "computed"}
 
 
-def _cmd_whitehead(args) -> tuple[dict, dict, list[str]]:
+def _ranks_text(args, result) -> str:
+    classes = ", ".join(f"{n}:{c}" for n, c in result["class_counts"].items())
+    lines = [f"{result['group']}: m = {result['m']} conjugacy classes ({classes})"]
+    lines += [f"q={row['q']:<4d} {row['value']:<6d} ({row['case']})" for row in result["rows"]]
+    return "\n".join(lines)
+
+
+def _cmd_whitehead(args) -> tuple[dict, dict]:
     counts, source, counts_tag = _group_inputs(args)
     mode = Mode(args.mode)
     ab = None
@@ -288,10 +293,8 @@ def _cmd_whitehead(args) -> tuple[dict, dict, list[str]]:
         expr = whitehead_psl(g, args.q)
     else:
         expr = whitehead_sl(g, args.q)
-    label = g.label()
-    lines = [f"Wh_{args.q} of {mode.value.upper()}2(O_k), k = {label}: {expr.render()}"]
     result = {
-        "group": label,
+        "group": g.label(),
         "mode": mode.value,
         "q": args.q,
         "whitehead": expr.to_json(),
@@ -299,14 +302,16 @@ def _cmd_whitehead(args) -> tuple[dict, dict, list[str]]:
     }
     provenance = {"whitehead": "computed", "class_counts": counts_tag,
                   "abelianization": ab_tag}
-    return result, provenance, lines
+    return result, provenance
 
 
-def _cmd_reps(args) -> tuple[dict, dict, list[str]]:
+def _whitehead_text(args, result) -> str:
+    return (f"Wh_{result['q']} of {result['mode'].upper()}2(O_k), k = {result['group']}: "
+            f"{result['whitehead']['render']}")
+
+
+def _cmd_reps(args) -> tuple[dict, dict]:
     rc = rep_counts(args.n)
-    lines = [f"Z_{rc.n}: r={rc.r} c={rc.c} q={rc.q}"]
-    for p, kp, rp in rc.local:
-        lines.append(f"  p={p}: k_p={kp} r_p={rp}")
     result = {
         "n": rc.n,
         "r": rc.r,
@@ -315,29 +320,43 @@ def _cmd_reps(args) -> tuple[dict, dict, list[str]]:
         "local": {str(p): {"k_p": kp, "r_p": rp} for p, kp, rp in rc.local},
     }
     provenance = {"r": "computed", "c": "computed", "q": "computed", "local": "computed"}
-    return result, provenance, lines
+    return result, provenance
 
 
-def _cmd_classnum(args) -> tuple[dict, dict, list[str]]:
-    forms = reduced_forms(args.D)
-    h = len(forms)
-    lines = [
-        f"h({args.D}) = {h}",
-        "reduced forms: " + ", ".join(str(f) for f in forms),
-    ]
-    result = {"D": args.D, "class_number": h, "reduced_forms": [list(f) for f in forms]}
-    return result, {"class_number": "computed", "reduced_forms": "computed"}, lines
+def _reps_text(args, result) -> str:
+    lines = [f"Z_{result['n']}: r={result['r']} c={result['c']} q={result['q']}"]
+    lines += [f"  p={p}: k_p={local['k_p']} r_p={local['r_p']}"
+              for p, local in result["local"].items()]
+    return "\n".join(lines)
 
 
-def _cmd_chains(args) -> tuple[dict, dict, list[str]]:
+def _cmd_classnum(args) -> tuple[dict, dict]:
+    forms = reduced_forms(args.D)  # (a, b, c) tuples, written as JSON arrays
+    result = {"D": args.D, "class_number": len(forms), "reduced_forms": forms}
+    return result, {"class_number": "computed", "reduced_forms": "computed"}
+
+
+def _classnum_text(args, result) -> str:
+    return (f"h({result['D']}) = {result['class_number']}\n"
+            f"reduced forms: {', '.join(map(str, result['reduced_forms']))}")
+
+
+def _cmd_chains(args) -> tuple[dict, dict]:
     factory = psl_poset if args.poset == "psl" else sl_poset
-    poset = factory(args.m)
-    chains = enumerate_pchains(poset, args.p)
-    lines = [f"{args.poset} poset with m={args.m}: {len(chains)} chains at p={args.p}"]
-    for chain in chains:
-        lines.append("  " + " < ".join(chain.nodes))
-    result = {"count": len(chains), "chains": [list(c.nodes) for c in chains]}
-    return result, {"count": "computed", "chains": "computed"}, lines
+    chains = enumerate_pchains(factory(args.m), args.p)
+    result = {"count": len(chains), "chains": [c.nodes for c in chains]}
+    return result, {"count": "computed", "chains": "computed"}
+
+
+def _chains_text(args, result) -> str:
+    lines = [f"{args.poset} poset with m={args.m}: {result['count']} chains at p={args.p}"]
+    lines += ["  " + " < ".join(nodes) for nodes in result["chains"]]
+    return "\n".join(lines)
+
+
+# The plain-text rendering of each subcommand's result, used without --json.
+_TEXT = {"field": _field_text, "ranks": _ranks_text, "whitehead": _whitehead_text,
+         "reps": _reps_text, "classnum": _classnum_text, "chains": _chains_text}
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result, provenance, lines = args.func(args)
+        result, provenance = args.func(args)
         if args.json:
             inputs = {k: v for k, v in vars(args).items()
                       if k not in ("command", "func", "json")}
@@ -436,7 +455,7 @@ def main(argv=None) -> int:
                 "provenance": provenance,
             }))
         else:
-            print("\n".join(lines))
+            print(_TEXT[args.command](args, result))
         return EXIT_OK
     except MissingClassDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

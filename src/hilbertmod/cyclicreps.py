@@ -36,7 +36,8 @@ explicitly built multiplier group.
 
 from __future__ import annotations
 
-from math import prod
+from itertools import chain, compress, count
+from math import isqrt, prod
 
 from ._record import Record
 
@@ -68,22 +69,38 @@ def require_order(n: int) -> None:
         raise ValueError(f"group order must be in [1, 10^7], got {n}")
 
 
+def _primes_up_to(n: int) -> list[int]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+# The primes up to sqrt(MAX_ORDER) = 3162, enough to factor every group order.
+_SMALL_PRIMES = _primes_up_to(isqrt(MAX_ORDER))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+
+
 def prime_powers(n: int):
     """Yield (p, a) for each prime power p^a exactly dividing n, ascending p.
 
-    Trial division, lazily: a caller that stops early (a square-free test
-    meeting its first square) skips the rest of the search.  Every n < 2
-    yields nothing.
+    Trial division by the small primes, then by the odd numbers past them
+    (only the square-free test of d up to 10^12 gets that far), lazily: a
+    caller that stops early (a square-free test meeting its first square)
+    skips the rest of the search.  Every n < 2 yields nothing.
     """
-    f = 2
-    while f * f <= n:
+    for f in chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2)):
+        if f * f > n:
+            break
         if n % f == 0:
             a = 0
             while n % f == 0:
                 n //= f
                 a += 1
             yield f, a
-        f += 1 if f == 2 else 2
     if n > 1:
         yield n, 1
 
@@ -94,8 +111,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(p: int) -> bool:
-    """Primality by trial division; inputs here are tiny."""
-    return factorize(p) == {p: 1}
+    """Primality: a lookup in the small-prime table, else p is its own least prime factor."""
+    return p in _SMALL_PRIME_SET if p <= _SMALL_PRIMES[-1] else next(prime_powers(p)) == (p, 1)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

@@ -24,9 +24,10 @@ vanishes for n <= 4.
 from __future__ import annotations
 
 from enum import Enum
+from math import prod
 
 from .abgroups import AbGroupExpr
-from .cyclicreps import c_count, q_count, r_count, rep_counts, require_order
+from .cyclicreps import prime_powers, rep_counts, require_order
 
 __all__ = [
     "RankCase",
@@ -56,31 +57,25 @@ _Q_IS_0 = RankCase.Q_IS_0
 _Q_IS_MINUS_1 = RankCase.Q_IS_MINUS_1
 _ZERO = RankCase.ZERO
 _ABOVE_2 = (_ZERO, _Q1_MOD4, _ZERO, _Q3_MOD4)  # the q > 2 rows, by q mod 4
+_UP_TO_2 = {1: _Q_IS_1, 0: _Q_IS_0, -1: _Q_IS_MINUS_1}  # every other q <= 2: ZERO
 
 
 def rank_case(q: int) -> RankCase:
     """Which row of the rank table applies to homological degree q."""
-    if q > 2:
-        return _ABOVE_2[q % 4]
-    if q == 1:
-        return _Q_IS_1
-    if q == 0:
-        return _Q_IS_0
-    if q == -1:
-        return _Q_IS_MINUS_1
-    return _ZERO
+    return _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, _ZERO)
 
 
 def rank_K_cyclic(n: int, q: int) -> int:
-    """Rational rank of K_q(Z[Z_n])."""
+    """Rational rank of K_q(Z[Z_n]): n checked once, r(n) = n//2 + 1,
+    c(n) = (n-1)//2 and the divisor count q(n) read off n directly."""
     require_order(n)
-    case = rank_case(q)
+    case = _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, _ZERO)  # rank_case(q)
     if case is _Q1_MOD4:
-        return r_count(n)
+        return n // 2 + 1
     if case is _Q3_MOD4:
-        return c_count(n)
+        return (n - 1) // 2
     if case is _Q_IS_1:
-        return r_count(n) - q_count(n)
+        return n // 2 + 1 - prod(a + 1 for _, a in prime_powers(n))
     if case is _Q_IS_0:
         return 1
     if case is _Q_IS_MINUS_1:
@@ -96,7 +91,7 @@ def rank_H_BM(n: int, q: int) -> int:
     1 on the rows q = 0 and q = 1 mod 4 with q > 2, else 0.
     """
     require_order(n)
-    case = rank_case(q)
+    case = _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, _ZERO)  # rank_case(q)
     return 1 if case is _Q_IS_0 or case is _Q1_MOD4 else 0
 
 

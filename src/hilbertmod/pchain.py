@@ -198,7 +198,8 @@ class E1Page(Record):
         return Counter() if column is None else column
 
     def add(self, p: int, token: CoeffToken, mult: int = 1) -> None:
-        self.columns.setdefault(p, Counter())[token] += mult
+        # a Counter is built only for a new column, not on every call
+        (self.columns.get(p) or self.columns.setdefault(p, Counter()))[token] += mult
 
 
 def _tag_of(poset: OrbitPoset, label: str) -> NodeTag:
@@ -296,7 +297,7 @@ def rank_E1_column(
     on the page.
     """
     total = 0
-    for token, mult in page.column(p).items():
+    for token, mult in (page.columns.get(p) or {}).items():  # one dict read, no method call
         kind, order = token.kind, token.order
         if kind is _H_BG:
             continue

@@ -90,6 +90,23 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def prime_powers_by_trial_division(n: int) -> list[tuple[int, int]]:
+    """(p, a) for each p^a exactly dividing n, trying every f >= 2, no prime table."""
+    out = []
+    f = 2
+    while f * f <= n:
+        a = 0
+        while n % f == 0:
+            n //= f
+            a += 1
+        if a:
+            out.append((f, a))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def rp_formula(n: int, p: int) -> int:
     """Cyclotomic cosets mod the p-regular part: sum of phi(d)/ord_d(p)."""
     n_prime = n

@@ -347,6 +347,23 @@ def test_bad_degree_list_quotes_a_bounded_prefix(capsys):
                    "invalid literal for int() with base 10: 'x'\n")
 
 
+@pytest.mark.parametrize("spec", [
+    ",".join(f"{n}:1" for n in range(2, 5000)) + ",",  # 4,998 entries and an empty one
+    "x" * 5000,  # one entry without a colon
+], ids=["empty-entry", "no-colon"])
+def test_class_spec_messages_quote_a_bounded_excerpt(capsys, spec):
+    code, out, err = run_cli(capsys, "ranks", "--classes", spec, "--q", "1")
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert len(err.encode()) < 500, len(err)
+    assert f"... ({len(spec)} characters)" in err, err
+
+
+def test_short_class_spec_messages_keep_their_bytes(capsys):
+    for spec, err in (("2:1,,3:1", "error: empty entry in class spec '2:1,,3:1'\n"),
+                      ("2:1,3", "error: expected order:count, got '3'\n")):
+        assert run_cli(capsys, "ranks", "--classes", spec, "--q", "1") == (EXIT_INVALID_INPUT, "", err)
+
+
 # ---------------------------------------------------------------------------
 # whitehead
 # ---------------------------------------------------------------------------
@@ -675,6 +692,21 @@ def test_whitehead_at_the_class_cap(capsys, twice_primes_at_the_class_cap):
     wh = payload["result"]["whitehead"]
     assert wh["free_rank"] == expected[-1]
     assert len(wh["symbolic"]) == MAX_CLASS_ENTRIES
+
+
+def test_ranks_at_the_class_cap_of_the_largest_primes(capsys):
+    # 10^4 prime orders just under 10^7: every q = -1 row factors each order
+    # up to its square root 3162, through the table of small primes.
+    orders = _primes_below(10**7, MAX_CLASS_ENTRIES)
+    spec = ",".join(f"{n}:1" for n in orders)
+    degrees = (-1, 0, 1, 2, 5, 7)
+    start = time.monotonic()
+    payload = run_json(capsys, "ranks", "--classes", spec, "--q=" + ",".join(map(str, degrees)))
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, elapsed
+    g = GroupData(source="generic", class_counts=ClassCounts.parse(spec))
+    assert ([(row["q"], row["value"]) for row in payload["result"]["rows"]]
+            == [(q, rank_diff_from_case_table(g, q)) for q in degrees])
 
 
 def test_internal_error_exits_1_with_its_traceback(capsys, monkeypatch):
@@ -1205,6 +1237,66 @@ def test_ranks_whitehead_reps_golden_bytes(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert out == text, argv
+
+
+# ---------------------------------------------------------------------------
+# Text rendered from the result: stdout bytes pinned before the text of each
+# subcommand was rendered from the result it returns, for the larger outputs
+# (as SHA-256) and the whitehead lines of the perfbench degree_table workload.
+# ---------------------------------------------------------------------------
+
+# the 240 degrees of the d = 5 ranks request in perfbench's degree_table, seed 1
+DEGREE_TABLE_DEGREES = [
+    -6, 1736, 1832, 1373, 525, 148, 252, 672, 947, 1109, 1202, 962, 1405, 1894, 1606, 1000,
+    294, 1569, 1979, 624, 570, 684, 594, 304, 517, 735, 1340, 1039, 1985, 739, 126, 1195,
+    563, 1545, 46, 454, 272, 1607, 491, 1807, 1149, 1892, 1491, 1824, 819, 345, 1900, 1594,
+    1273, 640, 1723, 142, 835, 330, 1705, 938, 1353, 778, 1602, 1384, 81, 12, 114, 1255,
+    797, 935, 1866, 1595, 1212, 785, 242, 1755, 63, 1758, 206, 1630, 1015, 509, 412, 1329,
+    1827, 1644, 593, 862, 407, 994, 476, 746, 1939, 1718, 668, 1725, 408, 523, 1379, 167,
+    740, 717, 220, 884, 92, 1962, 1700, 1248, 1790, 763, 1981, 1649, 325, 124, 1019, 1535,
+    336, 208, 940, 899, 1251, 1408, 557, 1434, 851, 1645, 1757, 888, 314, 552, 1622, 318,
+    1792, 863, 539, 369, 1526, 988, 1160, 139, 578, 186, 519, 289, 418, 932, 553, 1301,
+    729, 941, 1710, 1189, 1937, 885, 1765, 1237, 1867, 1025, 1240, 1137, 1033, 1002, 480,
+    410, 1119, 1355, 39, 422, 366, 1940, 1054, 488, 423, 1547, 207, 1163, 98, 1764, 1203,
+    1369, 798, 1232, 1589, 1082, 638, 709, 236, 263, 1076, 215, 644, 464, 48, 1706, 1919,
+    1588, 1214, 1913, 790, 1626, 1648, 1343, 1882, 1218, 518, 1504, 1775, 919, 1944, 1489,
+    1951, 660, 1257, 1950, 989, 363, -5, 656, 1194, 1181, 203, 1453, 1280, 1920, 993, 1326,
+    1110, 82, 648, 1703, 1502, 1172, 1966, 436, 796, 679, 1468, 1879, 764, 984, 945, 1412,
+    241, 1254,
+]
+
+RENDERED_SHA256 = {
+    ("ranks", "5", "--q=" + ",".join(map(str, DEGREE_TABLE_DEGREES))):
+        "d6f9ffacd0b8cd1f99e1ffe56f7af2e76974c101517835a1009f050a25b51900",
+    ("ranks", "5", "--q=" + ",".join(map(str, DEGREE_TABLE_DEGREES)), "--json"):
+        "2fc71f34938acc604bf916b376100e2b6f06583a27acb6f2cc2abc29a6692370",
+    ("classnum", "-6537839"):
+        "7f51f23090a898e736bf8276f40aa1a69776d138c3aaba49389bcf01bc7b988d",
+    ("chains", "--poset", "sl", "--m", "18", "--p", "1"):
+        "68ebe38ccbee3e3b3de5a6e382400a09df7f03a8576b5b43df381833229c877c",
+}
+
+WHITEHEAD_PLAIN_GOLDEN = {
+    ("psl", -2): "Wh_-2 of PSL2(O_k), k = Q(sqrt(5)): 0\n",
+    ("psl", -1): "Wh_-1 of PSL2(O_k), k = Q(sqrt(5)): "
+                 "2*K-1tors(Z_2) + 2*K-1tors(Z_3) + 2*K-1tors(Z_5)\n",
+    ("psl", 0): "Wh_0 of PSL2(O_k), k = Q(sqrt(5)): 2*Wh0(Z_5)\n",
+    ("psl", 1): "Wh_1 of PSL2(O_k), k = Q(sqrt(5)): Z^2\n",
+    ("sl", -1): "Wh_-1 of SL2(O_k), k = Q(sqrt(5)): "
+                "2*K-1tors(Z_2) + 2*K-1tors(Z_3) + 2*K-1tors(Z_5)\n",
+    ("sl", 0): "Wh_0 of SL2(O_k), k = Q(sqrt(5)): Z + 2*Wh0(Z_5)\n",
+    ("sl", 1): "Wh_1 of SL2(O_k), k = Q(sqrt(5)): Z^2 + Z/2\n",
+}
+
+
+def test_rendered_text_and_envelope_golden_bytes(capsys):
+    assert len(DEGREE_TABLE_DEGREES) == 240
+    for argv, digest in RENDERED_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv[:2]
+    for (mode, q), text in WHITEHEAD_PLAIN_GOLDEN.items():
+        assert run_cli(capsys, "whitehead", "5", "--mode", mode, "--q", str(q)) == (EXIT_OK, text, "")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from hilbertmod import quadfield
 from hilbertmod.cyclicreps import (
     c_count,
     factorize,
+    is_prime,
     kp_count,
     prime_divisors,
+    prime_powers,
     q_count,
     r_count,
     rep_counts,
@@ -20,6 +23,7 @@ from oracles import (
     kp_formula,
     local_galois_subgroup,
     orbit_partition,
+    prime_powers_by_trial_division,
     rational_irred_orbits,
     real_irred_orbits,
     rp_formula,
@@ -142,3 +146,38 @@ def test_rep_counts_reads_the_separate_counts_off_one_factorization():
         assert rc.local == tuple((p, kp_count(n, p), rp_count(n, p))
                                  for p in prime_divisors(n)), n
         assert rc.q == q_count(n), n
+
+
+def test_prime_powers_against_trial_division():
+    # The small-prime table ends at 3137, the last prime <= sqrt(10^7); past it
+    # the search goes on with odd f, so squares and products of the next
+    # primes 3163 and 3167, and d up to 10^12, still factor completely.
+    rng = random.Random(3162)
+    seeded = [rng.randrange(1, 10**12 + 1) for _ in range(20)]
+    edges = [3163**2, 3167**2, 3163 * 3167, 3137**2, 2 * 3163**2, 999999999989, 10**12]
+    for n in [*range(10**5), *seeded, *edges]:
+        expected = prime_powers_by_trial_division(n)
+        assert list(prime_powers(n)) == expected, n
+        assert is_prime(n) == (expected == [(n, 1)]), n
+
+
+class _CountingInt(int):
+    """An int that counts the remainders taken of it and of its quotients."""
+
+    remainders = 0
+
+    def __mod__(self, f):
+        _CountingInt.remainders += 1
+        return int(self) % f
+
+    def __floordiv__(self, f):
+        return _CountingInt(int(self) // f)
+
+
+def test_square_free_test_stops_at_the_first_square():
+    # 4 * 999999999989: the square 2^2 comes first, and the trial division
+    # that the large prime would need (about 5 * 10^5 remainders) never runs.
+    _CountingInt.remainders = 0
+    assert not quadfield.is_square_free(_CountingInt(4 * 999999999989))
+    assert _CountingInt.remainders < 10
+    assert quadfield.is_square_free(2 * 999999999989)
