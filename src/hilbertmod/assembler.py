@@ -30,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
-from ._text import excerpt
+from ._text import excerpt, over_digit_cap
 from .abgroups import AbGroupExpr
 from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
 from .cyclicreps import require_order
@@ -121,15 +121,16 @@ class ClassCounts(Record):
             if not chunk:
                 raise ValueError(f"empty entry in class spec {excerpt(spec)}")
             order_s, sep, count_s = chunk.partition(":")
-            if not sep:
-                raise ValueError(f"expected order:count, got {excerpt(chunk)}")
-            # int() itself refuses more than 4,300 digits, naming its own limit
-            if len(order_s) > 4300:
+            # int() refuses past 4,300 digits, naming its own limit; no colon: malformed
+            if sep and over_digit_cap(order_s):
                 raise ValueError(f"group order must be in [1, 10^7], "
                                  f"got {len(order_s)} characters")
-            if len(count_s) > 4300:
+            if over_digit_cap(count_s):
                 raise ValueError("class counts must be at most 10^100")
-            entries.append((int(order_s), int(count_s)))
+            try:
+                entries.append((int(order_s), int(count_s)))
+            except ValueError:  # no colon, a second colon, or a field int() cannot read
+                raise ValueError(f"expected order:count, got {excerpt(chunk)}") from None
         if [n for n, _ in entries] != sorted({n for n, _ in entries}):
             raise ValueError("orders must be ascending and distinct")
         return cls(tuple(entries))

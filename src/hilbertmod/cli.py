@@ -29,7 +29,7 @@ square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
 integer argument, each degree and each ``--ab`` integer), |D| <= 10^8 for
 ``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands and
 free rank at most 10^100 in ``--ab``.  Past a cap the command exits 2 and
-the message names the limit.
+the message names the limit.  Every ``error:`` message is cut at 250 characters.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error (its traceback follows on stderr).
@@ -42,7 +42,7 @@ import os
 import sys
 from functools import partial
 
-from ._text import MAX_DIGITS, excerpt, over_digit_cap
+from ._text import MAX_DIGITS, clip, excerpt, over_digit_cap
 from .abgroups import AbGroupExpr
 from .assembler import (
     ClassCounts,
@@ -72,6 +72,8 @@ EXIT_INTERNAL = 1
 EXIT_INVALID_INPUT = 2
 EXIT_MISSING_CLASS_DATA = 3
 EXIT_MISSING_ABELIANIZATION = 4
+_EXIT_CODES = {MissingClassDataError: EXIT_MISSING_CLASS_DATA,
+               MissingAbelianizationError: EXIT_MISSING_ABELIANIZATION}  # other errors: 2
 
 
 def canonical_json(payload) -> str:
@@ -381,20 +383,25 @@ def _help_width() -> int:
     return columns - 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's messages quote whole values
+        super().error(clip(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Every parser's formatters get their width up front.  Without one, each
     # formatter argparse makes (one per argument, to check its metavar) asks
     # shutil for the terminal size, and importing shutil costs about 5 ms of
     # every cold start.
     formatter = partial(argparse.HelpFormatter, width=_help_width())
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbertmod",
         description="Exact Whitehead-group and K-theory rank calculator "
                     "for Hilbert modular groups over real quadratic fields.",
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
-        argparse.ArgumentParser, formatter_class=formatter))
+        _Parser, formatter_class=formatter))
 
     p_field = sub.add_parser("field", help="elliptic trace census of Q(sqrt(d))")
     p_field.add_argument("d", type=_int_arg, help="square-free integer in [2, 10^12]")
@@ -457,15 +464,9 @@ def main(argv=None) -> int:
         else:
             print(_TEXT[args.command](args, result))
         return EXIT_OK
-    except MissingClassDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_CLASS_DATA
-    except MissingAbelianizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ABELIANIZATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    except (MissingClassDataError, MissingAbelianizationError, ValueError) as exc:
+        print(f"error: {clip(str(exc))}", file=sys.stderr)
+        return _EXIT_CODES.get(type(exc), EXIT_INVALID_INPUT)
     except Exception as exc:
         import traceback  # on first use: only an internal error prints one
         print(f"internal error: {exc}", file=sys.stderr)

@@ -129,20 +129,20 @@ def r_count(n: int) -> int:
     """Number of real irreducibles of Z_n.
 
     Complex characters come in conjugate pairs; the orbit count is
-    (n+1)/2 for odd n and n/2 + 1 for even n.
+    (n+1)/2 for odd n and n/2 + 1 for even n, both n // 2 + 1.
     """
     require_order(n)
-    return (n + 1) // 2 if n % 2 else n // 2 + 1
+    return n // 2 + 1
 
 
 def c_count(n: int) -> int:
     """Number of real irreducibles of Z_n of complex type.
 
     These are the genuine conjugate pairs: (n-1)/2 for odd n,
-    (n-2)/2 for even n.
+    (n-2)/2 for even n, both (n - 1) // 2.
     """
     require_order(n)
-    return (n - 1) // 2 if n % 2 else (n - 2) // 2
+    return (n - 1) // 2
 
 
 def _p_cosets(factors: dict[int, int], p: int) -> int:
@@ -164,13 +164,18 @@ def _p_cosets(factors: dict[int, int], p: int) -> int:
     return total
 
 
+def _local_factors(n: int, p: int) -> dict[int, int]:
+    """factorize(n), once n is a group order and p a prime."""
+    require_order(n)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return factorize(n)
+
+
 def kp_count(n: int, p: int) -> int:
     """Number of irreducible Q_p-representations of Z_n: (a+1) * r_p, p^a || n."""
-    rp = rp_count(n, p)  # checks n and p before the valuation loop below
-    a = 0
-    while n % p ** (a + 1) == 0:
-        a += 1
-    return (a + 1) * rp
+    factors = _local_factors(n, p)
+    return (factors.get(p, 0) + 1) * _p_cosets(factors, p)
 
 
 def rp_count(n: int, p: int) -> int:
@@ -179,10 +184,7 @@ def rp_count(n: int, p: int) -> int:
     Only the prime-to-p part m of n matters; the count is the number of
     p-cosets of Z/m.
     """
-    require_order(n)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _p_cosets(factorize(n), p)
+    return _p_cosets(_local_factors(n, p), p)
 
 
 class RepCounts(Record):

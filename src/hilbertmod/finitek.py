@@ -47,38 +47,26 @@ class RankCase(Enum):
     ZERO = "otherwise"
 
 
-# The rank kernel runs once per class per degree.  On CPython a member
-# read as ``RankCase.X`` is an Enum class-attribute lookup, about ten times
-# the cost of a module global, so the hot paths compare against these names.
-_Q1_MOD4 = RankCase.Q1_MOD4
-_Q3_MOD4 = RankCase.Q3_MOD4
-_Q_IS_1 = RankCase.Q_IS_1
-_Q_IS_0 = RankCase.Q_IS_0
-_Q_IS_MINUS_1 = RankCase.Q_IS_MINUS_1
-_ZERO = RankCase.ZERO
-_ABOVE_2 = (_ZERO, _Q1_MOD4, _ZERO, _Q3_MOD4)  # the q > 2 rows, by q mod 4
-_UP_TO_2 = {1: _Q_IS_1, 0: _Q_IS_0, -1: _Q_IS_MINUS_1}  # every other q <= 2: ZERO
+_ABOVE_2 = (RankCase.ZERO, RankCase.Q1_MOD4, RankCase.ZERO, RankCase.Q3_MOD4)  # q > 2, by q % 4
+_UP_TO_2 = {1: RankCase.Q_IS_1, 0: RankCase.Q_IS_0, -1: RankCase.Q_IS_MINUS_1}  # else ZERO
 
 
 def rank_case(q: int) -> RankCase:
     """Which row of the rank table applies to homological degree q."""
-    return _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, _ZERO)
+    return _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, RankCase.ZERO)
 
 
 def rank_K_cyclic(n: int, q: int) -> int:
     """Rational rank of K_q(Z[Z_n]): n checked once, r(n) = n//2 + 1,
     c(n) = (n-1)//2 and the divisor count q(n) read off n directly."""
     require_order(n)
-    case = _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, _ZERO)  # rank_case(q)
-    if case is _Q1_MOD4:
-        return n // 2 + 1
-    if case is _Q3_MOD4:
-        return (n - 1) // 2
-    if case is _Q_IS_1:
+    if q > 2:  # rows by q % 4, as in rank_case
+        return (0, n // 2 + 1, 0, (n - 1) // 2)[q % 4]
+    if q == 1:
         return n // 2 + 1 - prod(a + 1 for _, a in prime_powers(n))
-    if case is _Q_IS_0:
+    if q == 0:
         return 1
-    if case is _Q_IS_MINUS_1:
+    if q == -1:
         rc = rep_counts(n)
         return 1 - rc.q + sum(kp - rp for _, kp, rp in rc.local)
     return 0
@@ -91,8 +79,7 @@ def rank_H_BM(n: int, q: int) -> int:
     1 on the rows q = 0 and q = 1 mod 4 with q > 2, else 0.
     """
     require_order(n)
-    case = _ABOVE_2[q % 4] if q > 2 else _UP_TO_2.get(q, _ZERO)  # rank_case(q)
-    return 1 if case is _Q_IS_0 or case is _Q1_MOD4 else 0
+    return 1 if q == 0 or q > 2 and q % 4 == 1 else 0
 
 
 def wh_cyclic(n: int, q: int) -> AbGroupExpr:

@@ -69,3 +69,10 @@ def test_parse_rejects_garbage():
     for text in ["", "Q", "Z/", "Z^", "1 + Z", "0*Z/2"]:
         with pytest.raises(ValueError):
             AbGroupExpr.parse(text)
+
+
+def test_scaled_rejects_a_negative_multiplicity():
+    # without the check, -1 copies of these would come back as the zero group
+    for expr in (AbGroupExpr.zero(), AbGroupExpr.cyclic(2)):
+        with pytest.raises(ValueError, match="multiplicity must be nonnegative"):
+            expr.scaled(-1)

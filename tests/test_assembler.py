@@ -201,3 +201,14 @@ def test_generic_path_equals_field_path():
     generic = GroupData(source="generic", class_counts=ClassCounts.parse("2:2,3:2,5:2"))
     for q in range(-3, 12):
         assert rank_diff(by_field, q) == rank_diff(generic, q)
+
+
+def test_class_counts_reject_a_duplicate_order():
+    with pytest.raises(ValueError, match="duplicate subgroup order"):
+        ClassCounts(((2, 1), (2, 3)))
+
+
+def test_case_table_refuses_sl_mode_data():
+    g = GroupData("generic", ClassCounts.parse("2:1,3:1"), Mode.SL)
+    with pytest.raises(ValueError, match="applies to the projective group"):
+        rank_diff_from_case_table(g, 1)

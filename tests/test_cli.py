@@ -1346,3 +1346,59 @@ def test_every_numeric_result_tagged(capsys):
         payload = run_json(capsys, *argv)
         assert payload["provenance"], argv
         assert set(payload["provenance"].values()) <= {"paper-table", "computed"}
+
+
+def test_canonical_json_refuses_what_json_refuses():
+    payload = {"x": object()}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
+    with pytest.raises(TypeError) as got:
+        canonical_json(payload)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("entry", [":1", "2:", "2:1:1", "a:b", "2:1.5"])
+def test_malformed_class_entries_name_the_grammar(capsys, entry):
+    assert run_cli(capsys, "ranks", "--classes", entry, "--q", "1") == (
+        EXIT_INVALID_INPUT, "", f"error: expected order:count, got {entry!r}\n")
+
+
+NINES = "9" * 4300  # as many digits as the digit gate lets through
+# Each command line's message quotes a whole input, and the first 100
+# characters of its stderr before messages were cut (COLUMNS=80).
+LONG_MESSAGES = {
+    "invalid-choice": (("whitehead", "5", "--q", "1", "--mode", "x" * 5000),
+                       "usage: hilbertmod whitehead [-h] [--classes CLASSES] "
+                       "[--mode {psl,sl}] --q Q\n" + " " * 23),
+    "unknown-command": (("x" * 5000,),
+                        "usage: hilbertmod [-h] {field,ranks,whitehead,reps,classnum,chains} "
+                        "...\nhilbertmod: error: argument "),
+    "unrecognized": (("reps", "5", "x" * 5000),
+                     "usage: hilbertmod [-h] {field,ranks,whitehead,reps,classnum,chains} "
+                     "...\nhilbertmod: error: unrecogni"),
+    "reps": (("reps", NINES), "error: group order must be in [1, 10^7], got " + NINES),
+    "field": (("field", NINES), "error: d must be a square-free integer in [2, 10^12], got "
+                                + NINES),
+    "classnum": (("classnum", "-" + NINES), "error: |D| must be at most 10^8, got D = -" + NINES),
+    "chains": (("chains", "--poset", "psl", "--m", NINES, "--p", "0"),
+               "error: number of maximal classes must be at most 10^4, got " + NINES),
+    "class-order": (("ranks", "--classes", NINES + ":1", "--q", "1"),
+                    "error: group order must be in [1, 10^7], got " + NINES),
+    "disallowed-orders": (("ranks", "2", "--classes",
+                           ",".join(f"{n}:1" for n in range(7, 10007)), "--q", "1"),
+                          "error: orders [" + ", ".join(map(str, range(7, 40)))),
+}
+
+
+@pytest.mark.parametrize("argv, start", LONG_MESSAGES.values(), ids=LONG_MESSAGES.keys())
+def test_long_messages_are_cut_where_printed(capsys, monkeypatch, argv, start):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own messages
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_INVALID_INPUT, "")
+    assert len(captured.err.encode()) < 500, len(captured.err)
+    assert len(start) >= 100 and captured.err[:100] == start[:100]
+    assert re.search(r"\.\.\. \(\d+ characters\)\n$", captured.err), captured.err[-80:]

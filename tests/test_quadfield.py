@@ -395,3 +395,9 @@ def test_trace_minpoly_agrees_with_element_arithmetic():
     c0, c1, c2 = trace_minpoly(golden)
     value = f.element(c0) + golden * f.element(c1) + golden * golden * f.element(c2)
     assert value.is_zero()
+
+
+def test_sum_across_two_fields_is_refused():
+    a, b = quadfield.QuadElem(1, 1, FieldSpec(5)), quadfield.QuadElem(1, 1, FieldSpec(2))
+    with pytest.raises(ValueError, match="different quadratic fields"):
+        a + b
