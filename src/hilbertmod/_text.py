@@ -8,7 +8,7 @@ interpreter setting ``sys.set_int_max_str_digits``; callers test
 __all__ = ["MAX_DIGITS", "MAX_MESSAGE", "clip", "excerpt", "over_digit_cap"]
 
 MAX_DIGITS = 4300  # digits of one integer, as many as int() accepts
-MAX_MESSAGE = 250  # characters of one printed error message
+MAX_MESSAGE = 250  # bytes of one printed error message, as UTF-8
 
 
 def excerpt(text: str, limit: int = 40) -> str:
@@ -24,7 +24,15 @@ def over_digit_cap(text: str) -> bool:
 
 
 def clip(message: str) -> str:
-    """``message`` cut to its first MAX_MESSAGE characters when longer."""
-    if len(message) <= MAX_MESSAGE:
+    """``message`` cut to its first MAX_MESSAGE bytes when longer, never inside a character.
+
+    Bytes are counted as stderr writes them: UTF-8, and a lone surrogate
+    (an undecodable byte of the command line) as its backslash escape.
+    """
+    data = message.encode("utf-8", "backslashreplace")
+    if len(data) <= MAX_MESSAGE:
         return message
-    return f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+    end = MAX_MESSAGE
+    while data[end] & 0xC0 == 0x80:  # the first byte left out continues a character
+        end -= 1
+    return f"{data[:end].decode()}... ({len(message)} characters)"

@@ -32,7 +32,7 @@ from enum import Enum
 from ._record import Record
 from ._text import excerpt, over_digit_cap
 from .abgroups import AbGroupExpr
-from .cyclicreps import c_count, kp_count, prime_divisors, q_count, r_count, rp_count
+from .cyclicreps import c_count, factorize, q_count, r_count, rp_count
 from .cyclicreps import require_order
 from .finitek import rank_H_BM, rank_K_cyclic, wh_cyclic
 from .quadfield import FieldSpec, allowed_orders
@@ -253,9 +253,9 @@ def rank_diff_from_case_table(g: GroupData, q: int) -> int:
     if q == 1:
         return sum(count * (r_count(n) - q_count(n)) for n, count in entries)
     if q == -1:
+        # k_p - r_p = a * r_p for p^a || n (cyclicreps: k_p = (a+1) * r_p)
         deficit = sum(
-            count * (q_count(n) - sum(kp_count(n, p) - rp_count(n, p)
-                                      for p in prime_divisors(n)))
+            count * (q_count(n) - sum(a * rp_count(n, p) for p, a in factorize(n).items()))
             for n, count in entries
         )
         return g.class_counts.m - deficit

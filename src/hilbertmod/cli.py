@@ -29,7 +29,12 @@ square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
 integer argument, each degree and each ``--ab`` integer), |D| <= 10^8 for
 ``classnum``, m <= 10^4 classes for ``chains``, 10^4 torsion summands and
 free rank at most 10^100 in ``--ab``.  Past a cap the command exits 2 and
-the message names the limit.  Every ``error:`` message is cut at 250 characters.
+the message names the limit.  Every ``error:`` message is cut at 250 characters,
+or fewer where a character takes more than one byte: at 250 bytes of UTF-8,
+never inside a character.
+
+Each call registers all six subcommands, which ``-h`` and the invalid-choice
+error list, and declares arguments only for the one it parses.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error (its traceback follows on stderr).
@@ -388,7 +393,69 @@ class _Parser(argparse.ArgumentParser):
         super().error(clip(message))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _field_arguments(p) -> None:
+    p.add_argument("d", type=_int_arg, help="square-free integer in [2, 10^12]")
+    p.add_argument("--approx", action="store_true",
+                   help="also print decimal approximations (approximate!)")
+    p.set_defaults(func=_cmd_field)
+
+
+def _ranks_arguments(p) -> None:
+    p.add_argument("d", type=_int_arg, nargs="?", default=None)
+    p.add_argument("--classes", help="order:count pairs, e.g. 2:2,3:2,5:2")
+    p.add_argument("--q", required=True,
+                   help="comma-separated degrees; write --q=-1,7 when the list "
+                        "starts with a negative degree")
+    p.set_defaults(func=_cmd_ranks)
+
+
+def _whitehead_arguments(p) -> None:
+    p.add_argument("d", type=_int_arg, nargs="?", default=None)
+    p.add_argument("--classes", help="order:count pairs, e.g. 2:1,3:1")
+    p.add_argument("--mode", choices=["psl", "sl"], default="psl")
+    p.add_argument("--q", type=_int_arg, required=True)
+    p.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" '
+                                'or "0"; at most 10^4 torsion summands')
+    p.set_defaults(func=_cmd_whitehead)
+
+
+def _reps_arguments(p) -> None:
+    p.add_argument("n", type=_int_arg)
+    p.set_defaults(func=_cmd_reps)
+
+
+def _classnum_arguments(p) -> None:
+    p.add_argument("D", type=_int_arg)
+    p.set_defaults(func=_cmd_classnum)
+
+
+def _chains_arguments(p) -> None:
+    p.add_argument("--poset", choices=["psl", "sl"], required=True)
+    p.add_argument("--m", type=_int_arg, required=True,
+                   help="number of maximal conjugacy classes, at most 10^4")
+    p.add_argument("--p", type=_int_arg, required=True, help="chain length index")
+    p.set_defaults(func=_cmd_chains)
+
+
+# Each subcommand's help line and the function that declares its arguments,
+# in the order that -h and the invalid-choice message list them.
+_COMMANDS = {
+    "field": ("elliptic trace census of Q(sqrt(d))", _field_arguments),
+    "ranks": ("rank differences per degree q", _ranks_arguments),
+    "whitehead": ("Whitehead group expression", _whitehead_arguments),
+    "reps": ("representation counts of Z_n", _reps_arguments),
+    "classnum": ("class number of a discriminant D < 0", _classnum_arguments),
+    "chains": ("chain census of an orbit poset", _chains_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; only subcommand ``command`` gets its arguments, all when None.
+
+    Every subcommand is registered, since -h and the invalid-choice error
+    list them all, but argparse hands a command line to one sub-parser, so
+    the others need no arguments to parse it.
+    """
     # Every parser's formatters get their width up front.  Without one, each
     # formatter argparse makes (one per argument, to check its metavar) asks
     # shutil for the terminal size, and importing shutil costs about 5 ms of
@@ -402,53 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
         _Parser, formatter_class=formatter))
-
-    p_field = sub.add_parser("field", help="elliptic trace census of Q(sqrt(d))")
-    p_field.add_argument("d", type=_int_arg, help="square-free integer in [2, 10^12]")
-    p_field.add_argument("--approx", action="store_true",
-                         help="also print decimal approximations (approximate!)")
-    p_field.set_defaults(func=_cmd_field)
-
-    p_ranks = sub.add_parser("ranks", help="rank differences per degree q")
-    p_ranks.add_argument("d", type=_int_arg, nargs="?", default=None)
-    p_ranks.add_argument("--classes", help="order:count pairs, e.g. 2:2,3:2,5:2")
-    p_ranks.add_argument("--q", required=True,
-                         help="comma-separated degrees; write --q=-1,7 when the list "
-                              "starts with a negative degree")
-    p_ranks.set_defaults(func=_cmd_ranks)
-
-    p_wh = sub.add_parser("whitehead", help="Whitehead group expression")
-    p_wh.add_argument("d", type=_int_arg, nargs="?", default=None)
-    p_wh.add_argument("--classes", help="order:count pairs, e.g. 2:1,3:1")
-    p_wh.add_argument("--mode", choices=["psl", "sl"], default="psl")
-    p_wh.add_argument("--q", type=_int_arg, required=True)
-    p_wh.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" '
-                                   'or "0"; at most 10^4 torsion summands')
-    p_wh.set_defaults(func=_cmd_whitehead)
-
-    p_reps = sub.add_parser("reps", help="representation counts of Z_n")
-    p_reps.add_argument("n", type=_int_arg)
-    p_reps.set_defaults(func=_cmd_reps)
-
-    p_cn = sub.add_parser("classnum", help="class number of a discriminant D < 0")
-    p_cn.add_argument("D", type=_int_arg)
-    p_cn.set_defaults(func=_cmd_classnum)
-
-    p_ch = sub.add_parser("chains", help="chain census of an orbit poset")
-    p_ch.add_argument("--poset", choices=["psl", "sl"], required=True)
-    p_ch.add_argument("--m", type=_int_arg, required=True,
-                      help="number of maximal conjugacy classes, at most 10^4")
-    p_ch.add_argument("--p", type=_int_arg, required=True, help="chain length index")
-    p_ch.set_defaults(func=_cmd_chains)
-
-    for p_cmd in sub.choices.values():
-        p_cmd.add_argument("--json", action="store_true")
+    for name, (help_text, declare) in _COMMANDS.items():
+        p_cmd = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            declare(p_cmd)
+            p_cmd.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The first argument that is not an option names the sub-parser argparse
+    # dispatches to: the top level takes only -h, which has no value, and a
+    # first positional such as "-" or "-5" is refused before any sub-parser.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         result, provenance = args.func(args)
         if args.json:

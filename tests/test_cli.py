@@ -13,6 +13,7 @@ import pytest
 
 from hilbertmod import classnumbers, cli
 from hilbertmod.abgroups import MAX_FREE_RANK, AbGroupExpr
+from hilbertmod._text import MAX_MESSAGE, clip
 from hilbertmod.assembler import (
     MAX_CLASS_COUNT,
     MAX_CLASS_ENTRIES,
@@ -838,6 +839,47 @@ def test_help_output_matches_the_goldens(capsys, monkeypatch):
         assert capsys.readouterr().out == text, (columns, argv)
 
 
+COMMANDS = ["field", "ranks", "whitehead", "reps", "classnum", "chains"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_parser_for_one_command_registers_all_and_declares_one(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, named = cli.build_parser(), cli.build_parser(command)
+    assert named.format_help() == full.format_help()
+    full_subs = full._subparsers._group_actions[0].choices
+    subs = named._subparsers._group_actions[0].choices
+    assert list(subs) == list(full_subs) == COMMANDS
+    assert subs[command].format_help() == full_subs[command].format_help()
+    assert subs[command].format_usage() == full_subs[command].format_usage()
+    # the other five sub-parsers hold only their -h
+    assert [len(subs[name]._actions) for name in COMMANDS if name != command] == [1] * 5
+
+
+def _exit_and_output(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on -h and on errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# main builds the parser for the first argument that is not an option
+EDGE_ARGV = [[], ["-h"], ["-h", "ranks"], ["ranks", "-h"], ["--", "ranks", "5", "--q", "1"],
+             ["-", "ranks"], ["-5", "ranks"], ["--json", "ranks", "5", "--q", "1"], ["bogus"]]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=[" ".join(argv) or "no-arguments"
+                                                 for argv in EDGE_ARGV])
+def test_main_answers_as_the_parser_of_every_command_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    answer = _exit_and_output(capsys, argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser(None))
+    assert _exit_and_output(capsys, argv) == answer
+
+
 # ---------------------------------------------------------------------------
 # chains goldens: stdout bytes pinned for psl and sl, m in {0, 3, 6},
 # p in {0, 1, 2}; --json bytes are pinned as compact JSON, as for field.
@@ -1402,3 +1444,26 @@ def test_long_messages_are_cut_where_printed(capsys, monkeypatch, argv, start):
     assert len(captured.err.encode()) < 500, len(captured.err)
     assert len(start) >= 100 and captured.err[:100] == start[:100]
     assert re.search(r"\.\.\. \(\d+ characters\)\n$", captured.err), captured.err[-80:]
+
+
+# one character of each UTF-8 width, and an undecodable command-line byte,
+# which stderr writes as its six-byte escape
+WIDE_CHARACTERS = {"1-byte": "x", "2-byte": "\u00e9", "3-byte": "\u20ac",
+                   "4-byte": "\U0001f600", "undecodable": "\udcff"}
+
+
+@pytest.mark.parametrize("char", WIDE_CHARACTERS.values(), ids=WIDE_CHARACTERS.keys())
+def test_long_messages_are_cut_by_their_bytes(capsys, monkeypatch, char):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_and_output(capsys, ["reps", "5", char * 5000])
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert len(err.encode("utf-8", "backslashreplace")) < 500, err[-80:]
+    assert re.search(r"\.\.\. \(\d+ characters\)\n$", err), err[-80:]
+
+
+@pytest.mark.parametrize("char", list(WIDE_CHARACTERS.values())[:4],
+                         ids=list(WIDE_CHARACTERS)[:4])
+def test_clip_keeps_whole_characters_within_the_bound(char):
+    fits = MAX_MESSAGE // len(char.encode())
+    assert clip(char * fits) == char * fits
+    assert clip(char * (fits + 1)) == f"{char * fits}... ({fits + 1} characters)"

@@ -11,7 +11,8 @@ a few hundred bytes of stderr at most and no interpreter limit named;
 ``--json`` output must re-serialize, by json's own encoder, to the same
 bytes; and every ``ranks`` row that is printed must equal the case-table
 route and, where the E1 page can be built (m <= 10^4 classes), the
-E1-column route.
+E1-column route.  The parser built for an argv's command alone must parse
+it as the parser of all six does.
 """
 
 import contextlib
@@ -227,6 +228,27 @@ def test_fuzzed_field_reps_classnum_chains_argv():
         _check_call(argv, code, out, err, elapsed)
     # these four subcommands read no class data and no abelianization
     assert codes == {0, 2}
+
+
+def _parsed(parser, argv):
+    """The namespace that ``parser`` makes of ``argv``, or its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+def test_a_parser_for_one_command_parses_as_the_full_parser():
+    rng, other_rng = random.Random(SEED), random.Random(SEED + 1)
+    argvs = _at_the_caps() + [_argv(rng) for _ in range(CALLS)]
+    argvs += [_other_argv(other_rng) for _ in range(OTHER_CALLS)]
+    full = cli.build_parser()
+    named = {command: cli.build_parser(command) for command in {argv[0] for argv in argvs}}
+    assert len(named) == 6
+    for argv in argvs:
+        assert _parsed(named[argv[0]], argv) == _parsed(full, argv), argv[:6]
 
 
 def _check_call(argv, code, out, err, elapsed):
