@@ -17,7 +17,8 @@ and 0 otherwise.  :func:`rank_diff` implements this directly;
 instead (using the representation counts, not the K-rank helper), and the
 two must agree everywhere.  At q = -1 the per-row form is read as
 m - sum_(M) [ q(M) - sum_{p | |M|} (k_p(M) - r_p(M)) ], the only
-parenthesization consistent with the direct formula.
+parenthesization consistent with the direct formula, with q(M), k_p(M)
+and r_p(M) read from one :func:`~hilbertmod.cyclicreps.rep_counts` per class.
 
 Class-count data is a user input except for the one built-in entry d = 5,
 where the maximal finite subgroups are Z_2, Z_3, Z_5 with two conjugacy
@@ -32,8 +33,7 @@ from enum import Enum
 from ._record import Record
 from ._text import excerpt, over_digit_cap
 from .abgroups import AbGroupExpr
-from .cyclicreps import c_count, factorize, q_count, r_count, rp_count
-from .cyclicreps import require_order
+from .cyclicreps import c_count, q_count, r_count, rep_counts, require_order
 from .finitek import rank_H_BM, rank_K_cyclic, wh_cyclic
 from .quadfield import FieldSpec, allowed_orders
 
@@ -239,9 +239,9 @@ def rank_diff_from_case_table(g: GroupData, q: int) -> int:
     """Second route to :func:`rank_diff`: the expanded per-row table.
 
     Written against the representation counts directly (not the K-rank
-    helper) so the two code paths stay independent; at q = 0 the row
-    collapses to 0 because every class contributes K-rank 1 and one
-    rank-one homology class.
+    helper), so the two code paths share only the counts, which the tests
+    check against orbit oracles; at q = 0 the row collapses to 0 because
+    every class contributes K-rank 1 and one rank-one homology class.
     """
     if g.mode is not Mode.PSL:
         raise ValueError("the rank difference formula applies to the projective group")
@@ -252,11 +252,10 @@ def rank_diff_from_case_table(g: GroupData, q: int) -> int:
         return sum(count * c_count(n) for n, count in entries) if q % 4 == 3 else 0
     if q == 1:
         return sum(count * (r_count(n) - q_count(n)) for n, count in entries)
-    if q == -1:
-        # k_p - r_p = a * r_p for p^a || n (cyclicreps: k_p = (a+1) * r_p)
-        deficit = sum(
-            count * (q_count(n) - sum(a * rp_count(n, p) for p, a in factorize(n).items()))
-            for n, count in entries
-        )
+    if q == -1:  # q(M), k_p(M) and r_p(M) from one rep_counts per class
+        deficit = 0
+        for n, count in entries:
+            rc = rep_counts(n)
+            deficit += count * (rc.q - sum(kp - rp for _, kp, rp in rc.local))
         return g.class_counts.m - deficit
     return 0

@@ -121,14 +121,6 @@ class Chain(Record):
     def __init__(self, nodes: tuple[str, ...]) -> None:
         object.__setattr__(self, "nodes", nodes)
 
-    @property
-    def p(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def least(self) -> str:
-        return self.nodes[0]
-
 
 def enumerate_pchains(poset: OrbitPoset, p: int) -> list[Chain]:
     """All p-chains of the poset, in deterministic lexicographic order.
@@ -210,23 +202,6 @@ def _tag_of(poset: OrbitPoset, label: str) -> NodeTag:
     return tag
 
 
-def _check_property_m(poset: OrbitPoset) -> None:
-    for a in poset.nodes:
-        if poset._above[a] and _tag_of(poset, a).kind is NodeKind.MAXIMAL:
-            b = next(v for v in poset.nodes if v in poset._above[a])
-            raise PropertyMViolationError(
-                f"maximal node {a!r} lies below {b!r}; property (M) fails"
-            )
-
-
-def _check_class_counts(poset: OrbitPoset, class_counts: ClassCounts) -> None:
-    maximal = Counter(
-        tag.order for tag in poset.tags.values() if tag.kind is NodeKind.MAXIMAL
-    )
-    if maximal != Counter(dict(class_counts.entries)):
-        raise ValueError("poset maximal nodes do not match the class counts")
-
-
 def build_E1(
     poset: OrbitPoset,
     relative_to_trivial: bool,
@@ -242,15 +217,22 @@ def build_E1(
     carry Wh tokens.  ``class_counts``, when given, is cross-checked
     against the poset's maximal nodes.
     """
-    for label in poset.nodes:
-        _tag_of(poset, label)
-    _check_property_m(poset)
-    if class_counts is not None:
-        _check_class_counts(poset, class_counts)
-    trivial = [v for v in poset.nodes if poset.tags[v].kind is NodeKind.TRIVIAL]
-    central = [v for v in poset.nodes if poset.tags[v].kind is NodeKind.CENTRAL]
+    above, index = poset._above, poset._index
+    tags = {v: _tag_of(poset, v) for v in poset.nodes}
+    by_kind = {kind: [] for kind in NodeKind}
+    for v, tag in tags.items():
+        by_kind[tag.kind].append(v)
+    for v in by_kind[NodeKind.MAXIMAL]:
+        if above[v]:
+            w = min(above[v], key=index.get)  # the first such node in poset order
+            raise PropertyMViolationError(
+                f"maximal node {v!r} lies below {w!r}; property (M) fails")
+    if class_counts is not None and (Counter(tags[v].order for v in by_kind[NodeKind.MAXIMAL])
+                                     != Counter(dict(class_counts.entries))):
+        raise ValueError("poset maximal nodes do not match the class counts")
+    trivial, central = by_kind[NodeKind.TRIVIAL], by_kind[NodeKind.CENTRAL]
     if (len(trivial) != 1 or len(central) > 1
-            or any(trivial[0] in poset._above[v] for v in poset.nodes)):
+            or any(trivial[0] in up for up in above.values())):
         raise ValueError("a first page needs exactly one trivial node, with nothing "
                          "below it, and at most one central node")
     if central and not relative_to_trivial:
@@ -262,22 +244,18 @@ def build_E1(
     # With this shape a chain runs trivial < central < maximal with steps
     # left out, so every 2-chain starts at the trivial node: the absolute
     # page (no central node) has none and the relative page drops them.
-    chains = enumerate_pchains(poset, 0) + enumerate_pchains(poset, 1)
+    # Column 0 reads the nodes, column 1 the pairs v < w of their up-sets,
+    # each in enumerate_pchains' order: by ascending node positions.
     bottom = trivial[0]
+    kept = [v for v in poset.nodes if not (relative_to_trivial and v == bottom)]
     if relative_to_trivial:
-        chains = [c for c in chains if c.least != bottom]
         bottom = central[0] if central else None
-
+    kind = TokenKind.WHITEHEAD if bottom is None else TokenKind.K_GROUP_RING
     page = E1Page()
-    for chain in chains:
-        top = poset.tags[chain.nodes[-1]]
-        if chain.p == 1:
-            page.add(1, CoeffToken(TokenKind.H_BM, top.order))
-        elif chain.least == bottom:
-            page.add(0, CoeffToken(TokenKind.H_BG))
-        else:
-            kind = TokenKind.WHITEHEAD if bottom is None else TokenKind.K_GROUP_RING
-            page.add(0, CoeffToken(kind, top.order))
+    for v in kept:
+        page.add(0, CoeffToken(TokenKind.H_BG) if v == bottom else CoeffToken(kind, tags[v].order))
+    for _, w in sorted((sorted((index[v], index[w])), w) for v in kept for w in above[v]):
+        page.add(1, CoeffToken(TokenKind.H_BM, tags[w].order))
     return page
 
 

@@ -6,17 +6,20 @@ orbit walks instead of divisor sums, form reduction, an a-outer scan and
 trial division of each (b^2 - D)/4 instead of the sieve over b that
 factors them all for the reduced-form enumeration, a dense
 Warshall closure instead of up-sets grown by search, subset scans
-instead of chain extension along the order relation, cyclotomic minimal
-polynomials instead of the order table of the trace census, the
-integral basis and exact signs of both embeddings instead of the integer
-tests on (2a, 2b), and json's own encoder instead of the CLI's envelope
-writer.  The implementations under test must agree with these.
+instead of chain extension along the order relation (and a first page
+read off those chains instead of the nodes and their up-sets),
+cyclotomic minimal polynomials instead of the order table of the trace
+census, the integral basis and exact signs of both embeddings instead
+of the integer tests on (2a, 2b), and json's own encoder instead of the
+CLI's envelope writer.  The implementations under test must agree with
+these.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -212,6 +215,37 @@ def permutation_pchains(poset, p: int) -> list[tuple]:
                 out.append(perm)
                 break
     return sorted(out)
+
+
+def reference_page(poset, relative_to_trivial: bool) -> dict:
+    """First-page columns (p -> Counter of tokens) of a tagged orbit poset,
+    from the subset-scan chains: on the relative page every chain whose
+    least node is trivial is dropped and a central node, if any, becomes
+    the bottom.  Only 0- and 1-chains may survive."""
+    # imported here: perfbench loads this module once, then re-imports the
+    # package afresh per set-up, and a module-level import would pin a copy
+    from hilbertmod.pchain import CoeffToken, NodeKind, TokenKind
+
+    kinds = {v: poset.tags[v].kind for v in poset.nodes}
+    bottom = next(v for v in poset.nodes if kinds[v] is NodeKind.TRIVIAL)
+    if relative_to_trivial:
+        bottom = next((v for v in poset.nodes if kinds[v] is NodeKind.CENTRAL), None)
+    columns = {}
+    for p in range(len(poset.nodes)):
+        for chain in naive_pchains(poset, p):
+            if relative_to_trivial and kinds[chain[0]] is NodeKind.TRIVIAL:
+                continue
+            assert p <= 1, chain
+            order = poset.tags[chain[-1]].order
+            if p == 1:
+                token = CoeffToken(TokenKind.H_BM, order)
+            elif chain[0] == bottom:
+                token = CoeffToken(TokenKind.H_BG)
+            else:
+                kind = TokenKind.WHITEHEAD if bottom is None else TokenKind.K_GROUP_RING
+                token = CoeffToken(kind, order)
+            columns.setdefault(p, Counter())[token] += 1
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,14 @@ from hilbertmod.cyclicreps import q_count, r_count
 from hilbertmod.finitek import rank_case
 from hilbertmod.quadfield import FieldSpec
 
+from oracles import (
+    kp_formula,
+    prime_powers_by_trial_division,
+    rational_irred_orbits,
+    real_irred_orbits,
+    rp_formula,
+)
+
 
 def _d5_psl():
     return group_data_for_field(FieldSpec(5), Mode.PSL)
@@ -212,3 +220,15 @@ def test_case_table_refuses_sl_mode_data():
     g = GroupData("generic", ClassCounts.parse("2:1,3:1"), Mode.SL)
     with pytest.raises(ValueError, match="applies to the projective group"):
         rank_diff_from_case_table(g, 1)
+
+
+def test_case_table_rows_match_the_orbit_oracles():
+    # the case table and rank_K_cyclic both read rep_counts at q = -1, so
+    # check the table's rows against character orbits instead
+    for n in range(2, 501):
+        g = GroupData(source="generic", class_counts=ClassCounts(((n, 1),)))
+        q_n = rational_irred_orbits(n)
+        local = sum(kp_formula(n, p) - rp_formula(n, p)
+                    for p, _ in prime_powers_by_trial_division(n))
+        assert rank_diff_from_case_table(g, -1) == 1 - q_n + local, n
+        assert rank_diff_from_case_table(g, 1) == real_irred_orbits(n) - q_n, n

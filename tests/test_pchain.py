@@ -1,7 +1,11 @@
 """Chain enumeration and the symbolic first page over orbit posets."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,7 @@ from hilbertmod.pchain import (
 
 from hilbertmod.quadfield import FieldSpec
 
-from oracles import closure_pairs, naive_pchains, permutation_pchains
+from oracles import closure_pairs, naive_pchains, permutation_pchains, reference_page
 
 D5_COUNTS = ClassCounts.parse("2:2,3:2,5:2")
 
@@ -245,6 +249,35 @@ def test_property_m_violation():
     }
     with pytest.raises(PropertyMViolationError):
         build_E1(OrbitPoset(nodes, less, tags), relative_to_trivial=False)
+
+
+def test_pages_match_the_chains_of_the_subset_scan():
+    rng = random.Random(271828)
+    for _ in range(60):
+        orders = sorted(rng.sample(range(2, 13), rng.randint(0, 4)))
+        counts = ClassCounts(tuple((n, rng.randint(1, 2)) for n in orders))
+        # the absolute page over the SL poset is refused (test_build_E1_guards)
+        for factory, relative in ((psl_poset, False), (psl_poset, True), (sl_poset, True)):
+            poset = factory(counts)
+            page = build_E1(poset, relative, class_counts=counts)
+            assert page.columns == reference_page(poset, relative), (counts, relative)
+
+
+def test_page_repr_does_not_depend_on_the_hash_seed():
+    code = ("from hilbertmod.assembler import ClassCounts\n"
+            "from hilbertmod.pchain import build_E1, psl_poset, sl_poset\n"
+            "counts = ClassCounts.parse('2:3,3:1,4:2,5:1,6:4,12:2')\n"
+            "for factory, relative in ((psl_poset, False), (psl_poset, True), (sl_poset, True)):\n"
+            "    page = build_E1(factory(counts), relative, counts)\n"
+            "    print(repr(page), [[t.order for t in c] for c in page.columns.values()])\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                              check=True).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    # tokens enter each column in chain order, by ascending node positions
+    assert outputs[0].count("[[None, 2, 3, 4, 5, 6, 12], [2, 3, 4, 5, 6, 12]]") == 2
 
 
 # ---------------------------------------------------------------------------
