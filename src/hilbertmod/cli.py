@@ -31,7 +31,10 @@ integer argument, each degree and each ``--ab`` integer), |D| <= 10^8 for
 free rank at most 10^100 in ``--ab``.  Past a cap the command exits 2 and
 the message names the limit.  Every ``error:`` message is cut at 250 characters,
 or fewer where a character takes more than one byte: at 250 bytes of UTF-8,
-never inside a character.
+never inside a character.  Every argv a shell can pass (each argument under
+Linux's 128 KiB) answers within 5 s; in-process ``main(argv)`` past that is
+bounded by the caps, not promised 5 s: ``ranks 5 --q=`` with 10^4 degrees of
+4300 digits takes 5.8 s (Python 3.11, 2 vCPUs).
 
 Each call registers all six subcommands, which ``-h`` and the invalid-choice
 error list, and declares arguments only for the one it parses.

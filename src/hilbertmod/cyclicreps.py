@@ -14,30 +14,24 @@ n = p^a * m with p not dividing m.  Over F_p only m survives and the
 multiplier group is <p mod m>, whose orbits are the p-cosets of Z/m.  The
 indices j with m / gcd(j, m) = e are the phi(e) units of Z/e scaled by
 m/e, and <p> permutes them freely in orbits of size ord_e(p), so
-
-    r_p = sum over e | m of phi(e) / ord_e(p).
+r_p = sum over e | m of phi(e) / ord_e(p).
 
 Over Q_p the Galois group of Q_p(zeta_n) is (units mod p^a) x <p mod m>,
 the totally ramified part times the unramified part generated by
 Frobenius.  Its orbits on Z/p^a x Z/m are the a+1 p-adic valuation levels
-times the p-cosets of Z/m, so
+times the p-cosets of Z/m, so k_p = (a+1) * r_p.
 
-    k_p = (a+1) * r_p.
-
-Each ord_e(p) is found by exponent descent: start from phi(e), and for
-each prime r of phi(e) divide by r while p^(order/r) = 1 mod e.  Every
-phi(e) divides phi(m), so one factorization of phi(m) supplies the primes
-for all e, and an order costs a few modular powers instead of up to e
-steps of x -> x*p mod e.
-
-The test suite re-derives both counts by walking the orbits of an
-explicitly built multiplier group.
+ord_e(p) is the lcm of ord_(q^k)(p) over the prime powers q^k || e, so the
+sum runs over orders, not divisors: {order: total phi(e)} grows by one
+prime q^b || m at a time.  ord_q(p) comes by exponent descent on q - 1,
+and ord_(q^k)(p) is ord_(q^(k-1))(p) or q times it, one modular power each.
+The tests re-derive both counts by orbit walks and by Burnside's lemma.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 from ._record import Record
 
@@ -148,20 +142,22 @@ def c_count(n: int) -> int:
 def _p_cosets(factors: dict[int, int], p: int) -> int:
     """Number of p-cosets of Z/m, for m the prime-to-p part of the n whose
     factorization is factors: sum of phi(e)/ord_e(p) over e | m."""
-    pairs = [(1, 1)]  # (e, phi(e)) for the divisors e of m found so far
+    weights = {1: 1}  # {ord_e(p): sum of phi(e)} over e | the part of m merged so far
     for q, b in factors.items():
         if q != p:
-            pairs += [(e * q**k, phi * (q - 1) * q ** (k - 1))
-                      for e, phi in pairs for k in range(1, b + 1)]
-    phi_primes = factorize(pairs[-1][1])  # pairs[-1] = (m, phi(m)), and phi(e) | phi(m)
-    total = 0
-    for e, phi in pairs:
-        order = phi  # ord_e(p) divides phi(e); descend one prime at a time
-        for r in phi_primes:
-            while order % r == 0 and pow(p, order // r, e) == 1:
-                order //= r
-        total += phi // order
-    return total
+            order, merged = q - 1, dict(weights)
+            for r, _ in prime_powers(q - 1):
+                while order % r == 0 and pow(p, order // r, q) == 1:
+                    order //= r
+            for k in range(1, b + 1):  # order = ord_(q^k)(p), phi = phi(q^k)
+                if k > 1 and pow(p, order, q**k) != 1:
+                    order *= q
+                phi = (q - 1) * q ** (k - 1)
+                for o, w in weights.items():
+                    o = lcm(o, order)
+                    merged[o] = merged.get(o, 0) + w * phi
+            weights = merged
+    return sum(w // o for o, w in weights.items())
 
 
 def _local_factors(n: int, p: int) -> dict[int, int]:

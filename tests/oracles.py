@@ -2,7 +2,8 @@
 
 Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
-orbit walks instead of divisor sums, form reduction, an a-outer scan and
+orbit walks, divisor sums and Burnside's fixed-point mean instead of
+orders merged one prime power at a time, form reduction, an a-outer scan and
 trial division of each (b^2 - D)/4 instead of the sieve over b that
 factors them all for the reduced-form enumeration, a dense
 Warshall closure instead of up-sets grown by search, subset scans
@@ -21,7 +22,7 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt
 
 from hilbertmod.quadfield import OmegaKind
@@ -74,10 +75,12 @@ def rational_irred_orbits(n: int) -> int:
 # Divisor-sum formulas for the local counts
 # ---------------------------------------------------------------------------
 
+@cache
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+@cache
 def mult_order(a: int, n: int) -> int:
     if n == 1:
         return 1
@@ -89,6 +92,7 @@ def mult_order(a: int, n: int) -> int:
     return order
 
 
+@cache
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -132,6 +136,21 @@ def kp_formula(n: int, p: int) -> int:
         n //= p
         a += 1
     return (a + 1) * rp_formula(n, p)
+
+
+def rp_burnside(n: int, p: int) -> int:
+    """p-cosets of Z/m, m the p-regular part of n, by Burnside's lemma: the
+    mean over the t = ord_m(p) powers p^k of their fixed points on Z/m,
+    gcd(p^k - 1, m) each, walking the powers one multiplication at a time."""
+    while n % p == 0:
+        n //= p
+    total, t, power = n, 1, p % n  # the k = 0 term fixes all of Z/m
+    while power != 1 % n:
+        total += gcd(power - 1, n)
+        t += 1
+        power = power * p % n
+    assert total % t == 0
+    return total // t
 
 
 def local_galois_subgroup(n: int, p: int) -> frozenset:
