@@ -17,10 +17,10 @@ Every numeric result carries a provenance tag: "paper-table" for values
 taken from the built-in published tables, "computed" for everything
 derived here.
 
-Subcommands return (result, provenance); ``main`` renders only what it
-prints: the envelope under ``--json``, else the text that ``_TEXT``
-renders from the same result.  ``inputs`` echo the parsed arguments other
-than ``--json``, with the ``ranks`` degrees as a list of integers.
+``main`` dispatches through ``_COMMANDS``: a row's runner returns (result,
+provenance), and only what is printed is rendered: the envelope under
+``--json``, else the row's text renderer.  ``inputs`` echo the parsed
+arguments other than ``--json``, the ``ranks`` degrees as integers.
 
 Inputs are capped so that every command answers in bounded time:
 square-free d <= 10^12, cyclic orders n <= 10^7 (``reps`` and ``--classes``),
@@ -364,11 +364,6 @@ def _chains_text(args, result) -> str:
     return "\n".join(lines)
 
 
-# The plain-text rendering of each subcommand's result, used without --json.
-_TEXT = {"field": _field_text, "ranks": _ranks_text, "whitehead": _whitehead_text,
-         "reps": _reps_text, "classnum": _classnum_text, "chains": _chains_text}
-
-
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
@@ -400,7 +395,6 @@ def _field_arguments(p) -> None:
     p.add_argument("d", type=_int_arg, help="square-free integer in [2, 10^12]")
     p.add_argument("--approx", action="store_true",
                    help="also print decimal approximations (approximate!)")
-    p.set_defaults(func=_cmd_field)
 
 
 def _ranks_arguments(p) -> None:
@@ -409,7 +403,6 @@ def _ranks_arguments(p) -> None:
     p.add_argument("--q", required=True,
                    help="comma-separated degrees; write --q=-1,7 when the list "
                         "starts with a negative degree")
-    p.set_defaults(func=_cmd_ranks)
 
 
 def _whitehead_arguments(p) -> None:
@@ -419,17 +412,14 @@ def _whitehead_arguments(p) -> None:
     p.add_argument("--q", type=_int_arg, required=True)
     p.add_argument("--ab", help='abelianization of the projective group, e.g. "Z/6" '
                                 'or "0"; at most 10^4 torsion summands')
-    p.set_defaults(func=_cmd_whitehead)
 
 
 def _reps_arguments(p) -> None:
     p.add_argument("n", type=_int_arg)
-    p.set_defaults(func=_cmd_reps)
 
 
 def _classnum_arguments(p) -> None:
     p.add_argument("D", type=_int_arg)
-    p.set_defaults(func=_cmd_classnum)
 
 
 def _chains_arguments(p) -> None:
@@ -437,18 +427,20 @@ def _chains_arguments(p) -> None:
     p.add_argument("--m", type=_int_arg, required=True,
                    help="number of maximal conjugacy classes, at most 10^4")
     p.add_argument("--p", type=_int_arg, required=True, help="chain length index")
-    p.set_defaults(func=_cmd_chains)
 
 
-# Each subcommand's help line and the function that declares its arguments,
-# in the order that -h and the invalid-choice message list them.
+# Per subcommand: help line, argument declarer, runner returning (result,
+# provenance) and text renderer, in the order -h and invalid-choice errors list them.
 _COMMANDS = {
-    "field": ("elliptic trace census of Q(sqrt(d))", _field_arguments),
-    "ranks": ("rank differences per degree q", _ranks_arguments),
-    "whitehead": ("Whitehead group expression", _whitehead_arguments),
-    "reps": ("representation counts of Z_n", _reps_arguments),
-    "classnum": ("class number of a discriminant D < 0", _classnum_arguments),
-    "chains": ("chain census of an orbit poset", _chains_arguments),
+    "field": ("elliptic trace census of Q(sqrt(d))", _field_arguments,
+              _cmd_field, _field_text),
+    "ranks": ("rank differences per degree q", _ranks_arguments, _cmd_ranks, _ranks_text),
+    "whitehead": ("Whitehead group expression", _whitehead_arguments,
+                  _cmd_whitehead, _whitehead_text),
+    "reps": ("representation counts of Z_n", _reps_arguments, _cmd_reps, _reps_text),
+    "classnum": ("class number of a discriminant D < 0", _classnum_arguments,
+                 _cmd_classnum, _classnum_text),
+    "chains": ("chain census of an orbit poset", _chains_arguments, _cmd_chains, _chains_text),
 }
 
 
@@ -472,7 +464,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
         _Parser, formatter_class=formatter))
-    for name, (help_text, declare) in _COMMANDS.items():
+    for name, (help_text, declare, _, _) in _COMMANDS.items():
         p_cmd = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             declare(p_cmd)
@@ -487,11 +479,11 @@ def main(argv=None) -> int:
     # first positional such as "-" or "-5" is refused before any sub-parser.
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
+    _, _, run, render = _COMMANDS[args.command]
     try:
-        result, provenance = args.func(args)
+        result, provenance = run(args)
         if args.json:
-            inputs = {k: v for k, v in vars(args).items()
-                      if k not in ("command", "func", "json")}
+            inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
             print(canonical_json({
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
@@ -500,7 +492,7 @@ def main(argv=None) -> int:
                 "provenance": provenance,
             }))
         else:
-            print(_TEXT[args.command](args, result))
+            print(render(args, result))
         return EXIT_OK
     except (MissingClassDataError, MissingAbelianizationError, ValueError) as exc:
         print(f"error: {clip(str(exc))}", file=sys.stderr)

@@ -75,7 +75,6 @@ def _primes_up_to(n: int) -> list[int]:
 
 # The primes up to sqrt(MAX_ORDER) = 3162, enough to factor every group order.
 _SMALL_PRIMES = _primes_up_to(isqrt(MAX_ORDER))
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 def prime_powers(n: int):
@@ -105,8 +104,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(p: int) -> bool:
-    """Primality: a lookup in the small-prime table, else p is its own least prime factor."""
-    return p in _SMALL_PRIME_SET if p <= _SMALL_PRIMES[-1] else next(prime_powers(p)) == (p, 1)
+    """Primality: p is its own least prime factor."""
+    return next(prime_powers(p), None) == (p, 1)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

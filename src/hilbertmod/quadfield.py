@@ -91,10 +91,7 @@ class FieldSpec(Record):
 
     def omega(self) -> "QuadElem":
         """Second element of the integral basis (1, omega) of O_k."""
-        from fractions import Fraction  # on first use: only a QuadElem needs it
-        if self.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
-            return QuadElem(Fraction(1, 2), Fraction(1, 2), self)
-        return QuadElem(Fraction(0), Fraction(1), self)
+        return self.from_basis(0, 1)
 
     def element(self, a, b=0) -> "QuadElem":
         """The element a + b*sqrt(d) with rational a, b."""

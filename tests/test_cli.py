@@ -714,7 +714,8 @@ def test_internal_error_exits_1_with_its_traceback(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_cmd_reps", broken)
+    help_text, declare, _, render = cli._COMMANDS["reps"]
+    monkeypatch.setitem(cli._COMMANDS, "reps", (help_text, declare, broken, render))
     for argv in (("reps", "5"), ("reps", "5", "--json")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
