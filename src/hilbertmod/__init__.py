@@ -28,8 +28,6 @@ from .classnumbers import class_number, reduced_forms
 from .cyclicreps import RepCounts, c_count, kp_count, q_count, r_count, rep_counts, rp_count
 from .finitek import RankCase, rank_H_BM, rank_K_cyclic, wh_cyclic
 from .pchain import (
-    Chain,
-    E1Page,
     OrbitPoset,
     build_E1,
     enumerate_pchains,

@@ -109,10 +109,6 @@ class ClassCounts(Record):
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_dict(cls, counts: dict) -> "ClassCounts":
-        return cls(tuple(counts.items()))
-
-    @classmethod
     def parse(cls, spec: str) -> "ClassCounts":
         """Parse ``"2:2,3:2,5:2"`` (orders ascending, duplicates rejected)."""
         entries = []
@@ -178,7 +174,7 @@ def class_counts_for_field(field: FieldSpec) -> ClassCounts:
     table = BUILTIN_CLASS_COUNTS.get(field.d)
     if table is None:
         raise MissingClassDataError(field.d)
-    return ClassCounts.from_dict(table)
+    return ClassCounts(tuple(table.items()))
 
 
 def group_data_for_field(field: FieldSpec, mode: Mode = Mode.PSL) -> GroupData:

@@ -113,7 +113,7 @@ def _write_json(value, put, quote, indent: str) -> None:
         sep, comma = "{" + inner, "," + inner
         for key in sorted(value):
             item = value[key]
-            name = quote(key if type(key) is str else _json_scalar(key, quote))
+            name = quote(key) if type(key) is str else _json_key(key, quote)
             kind = type(item)
             if kind is int:
                 put(f"{sep}{name}: {item}")
@@ -147,6 +147,13 @@ def _write_json(value, put, quote, indent: str) -> None:
         put(indent + "]")
     else:
         put(_json_scalar(value, quote))
+
+
+def _json_key(key, quote) -> str:
+    """A dict key that is not a plain str, as json writes it or refuses it."""
+    if not (key is None or isinstance(key, (str, int, float))):  # bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return quote(key if isinstance(key, str) else _json_scalar(key, quote))
 
 
 def _json_scalar(value, quote) -> str:
@@ -354,7 +361,7 @@ def _classnum_text(args, result) -> str:
 def _cmd_chains(args) -> tuple[dict, dict]:
     factory = psl_poset if args.poset == "psl" else sl_poset
     chains = enumerate_pchains(factory(args.m), args.p)
-    result = {"count": len(chains), "chains": [c.nodes for c in chains]}
+    result = {"count": len(chains), "chains": chains}
     return result, {"count": "computed", "chains": "computed"}
 
 

@@ -19,8 +19,8 @@ formal sum of coefficient tokens per column:
   page of the projective poset.
 
 The differentials out of column 1 are induced by assembly maps
-H_q(BM) -> K_q(Z[M]) that are rationally injective; the class constant
-:attr:`E1Page.d1_rationally_injective` records this in place of d1 itself.
+H_q(BM) -> K_q(Z[M]) that are rationally injective, so ranks are read off
+the page (a dict of column Counters) by subtracting columns.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ __all__ = [
     "NodeKind",
     "NodeTag",
     "OrbitPoset",
-    "Chain",
     "TokenKind",
     "CoeffToken",
-    "E1Page",
     "enumerate_pchains",
     "build_E1",
     "rank_E1_column",
@@ -113,17 +111,8 @@ class OrbitPoset:
         return len(self.nodes)
 
 
-class Chain(Record):
-    """A strictly increasing sequence of p+1 node labels (a p-chain)."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: tuple[str, ...]) -> None:
-        object.__setattr__(self, "nodes", nodes)
-
-
-def enumerate_pchains(poset: OrbitPoset, p: int) -> list[Chain]:
-    """All p-chains of the poset, in deterministic lexicographic order.
+def enumerate_pchains(poset: OrbitPoset, p: int) -> list[tuple[str, ...]]:
+    """All p-chains of the poset as tuples of labels, in lexicographic order.
 
     Chains are grown one node at a time: each chain extends by every node
     in the up-set of its top, so the work follows the chains that exist
@@ -140,7 +129,7 @@ def enumerate_pchains(poset: OrbitPoset, p: int) -> list[Chain]:
         if not chains:
             break  # a chain of p+1 nodes needs one of every shorter length
     chains.sort(key=lambda c: sorted(poset._index[v] for v in c))
-    return [Chain(c) for c in chains]
+    return chains
 
 
 class TokenKind(Enum):
@@ -166,34 +155,6 @@ class CoeffToken(Record):
         object.__setattr__(self, "order", order)
 
 
-class E1Page(Record):
-    """Column index -> formal sum of coefficient tokens (with multiplicity).
-
-    Columns that index no chains are simply absent and read back as the
-    zero sum.  The class constant ``d1_rationally_injective`` records that
-    the assembly maps feeding column 0 are rationally injective, so ranks
-    of the abutment can be read off by subtracting column ranks.  Unlike
-    the other records, a page is filled in place and so is unhashable.
-    """
-
-    __slots__ = ("columns",)
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    d1_rationally_injective = True
-
-    def __init__(self, columns: dict | None = None) -> None:
-        self.columns = {} if columns is None else columns
-
-    def column(self, p: int) -> Counter:
-        column = self.columns.get(p)
-        return Counter() if column is None else column
-
-    def add(self, p: int, token: CoeffToken) -> None:
-        # a Counter is built only for a new column, not on every call
-        (self.columns.get(p) or self.columns.setdefault(p, Counter()))[token] += 1
-
-
 def _tag_of(poset: OrbitPoset, label: str) -> NodeTag:
     tag = poset.tags.get(label)
     if tag is None:
@@ -206,8 +167,11 @@ def build_E1(
     poset: OrbitPoset,
     relative_to_trivial: bool,
     class_counts: ClassCounts | None = None,
-) -> E1Page:
+) -> dict[int, Counter]:
     """Assemble the symbolic first page over a tagged orbit poset.
+
+    The page maps each nonempty column p to a Counter of tokens.  Its d1 comes
+    from rationally injective assembly maps, so ranks are column differences.
 
     The poset needs one trivial node with nothing below it, at most one
     central node, and nothing above a maximal node (property (M)).
@@ -251,16 +215,15 @@ def build_E1(
     if relative_to_trivial:
         bottom = central[0] if central else None
     kind = TokenKind.WHITEHEAD if bottom is None else TokenKind.K_GROUP_RING
-    page = E1Page()
-    for v in kept:
-        page.add(0, CoeffToken(TokenKind.H_BG) if v == bottom else CoeffToken(kind, tags[v].order))
-    for _, w in sorted((sorted((index[v], index[w])), w) for v in kept for w in above[v]):
-        page.add(1, CoeffToken(TokenKind.H_BM, tags[w].order))
-    return page
+    pairs = sorted((sorted((index[v], index[w])), w) for v in kept for w in above[v])
+    columns = (Counter(CoeffToken(TokenKind.H_BG) if v == bottom
+                       else CoeffToken(kind, tags[v].order) for v in kept),
+               Counter(CoeffToken(TokenKind.H_BM, tags[w].order) for _, w in pairs))
+    return {p: column for p, column in enumerate(columns) if column}
 
 
 def rank_E1_column(
-    page: E1Page,
+    page: dict[int, Counter],
     p: int,
     q: int,
     rank_k=finitek.rank_K_cyclic,
@@ -271,11 +234,11 @@ def rank_E1_column(
     H_q(BG) contributes a symbolic 0, so column subtractions produce the
     difference rank K_q(Z[G]) - rank H_q(BG; K(Z)) rather than an absolute
     rank.  Wh tokens evaluate to rank K_q(Z[M]) - rank H_q(BM; K(Z)),
-    which is the rational size of Wh_q(M) under the injectivity recorded
-    on the page.
+    which is the rational size of Wh_q(M) because the assembly maps
+    H_q(BM) -> K_q(Z[M]) are rationally injective.
     """
     total = 0
-    for token, mult in (page.columns.get(p) or {}).items():  # one dict read, no method call
+    for token, mult in (page.get(p) or {}).items():
         kind, order = token.kind, token.order
         if kind is _H_BG:
             continue

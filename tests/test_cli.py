@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, and the JSON envelope."""
 
+import enum
 import hashlib
 import json
 import os
@@ -1361,6 +1362,18 @@ def test_json_round_trip_is_byte_identical(capsys):
         assert out == reference_json(json.loads(out)) + "\n", argv
 
 
+class _Str(str):
+    pass
+
+
+class _StrEnum(str, enum.Enum):
+    KEY = "k\u00e9y"
+
+
+class _Int(int):
+    pass
+
+
 def test_canonical_json_writes_what_json_dumps_writes(capsys):
     approx = run_json(capsys, "field", "5", "--approx")
     assert any(isinstance(x, float) for c in approx["result"]["trace_candidates"]
@@ -1378,6 +1391,7 @@ def test_canonical_json_writes_what_json_dumps_writes(capsys):
         {"tuples": (1, (2, (3,)), ("x", {"y": ()}))},
         {"z": 1, "A": 2, "a": 3, "10": 4, "9": 5, " ": 6},
         {3: "int keys", 10: "sort as ints"}, {2.5: 1, 0.5: 2}, {None: 0}, {True: 1},
+        {_Str("k"): 1, "j": 2}, {_StrEnum.KEY: [1]}, {_Int(10): 1, _Int(9): 2},
         [{"rows": [{"q": q, "value": -q * 10**30, "case": "q>2"} for q in range(-3, 9)]}],
     ]
     for payload in payloads:
@@ -1391,8 +1405,9 @@ def test_every_numeric_result_tagged(capsys):
         assert set(payload["provenance"].values()) <= {"paper-table", "computed"}
 
 
-def test_canonical_json_refuses_what_json_refuses():
-    payload = {"x": object()}
+@pytest.mark.parametrize("payload", [{"x": object()}, {(1, 2): "x"}],
+                         ids=["object-value", "tuple-key"])
+def test_canonical_json_refuses_what_json_refuses(payload):
     with pytest.raises(TypeError) as expected:
         json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)
     with pytest.raises(TypeError) as got:

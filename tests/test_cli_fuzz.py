@@ -120,6 +120,13 @@ def _at_the_caps():
     ]
 
 
+def _other_at_the_caps():
+    """One argv at the cap of each of chains, classnum, reps and field."""
+    return [["chains", "--poset", "sl", "--m", "10000", "--p", "1", "--json"],
+            ["classnum", str(-10**8), "--json"], ["reps", str(10**7), "--json"],
+            ["field", "999999999989", "--approx", "--json"]]
+
+
 MALFORMED = ["", "x", "5.0", "1e3", "0x5", " 7 ", "1_000", "--", HUGE, "-" + HUGE,
              "9" * 5000]
 
@@ -218,11 +225,8 @@ def test_fuzzed_ranks_and_whitehead_argv():
 
 def test_fuzzed_field_reps_classnum_chains_argv():
     rng = random.Random(SEED + 1)
-    at_the_caps = [["chains", "--poset", "sl", "--m", "10000", "--p", "1", "--json"],
-                   ["classnum", str(-10**8), "--json"], ["reps", str(10**7), "--json"],
-                   ["field", "999999999989", "--approx", "--json"]]
     codes = set()
-    for argv in at_the_caps + [_other_argv(rng) for _ in range(OTHER_CALLS)]:
+    for argv in _other_at_the_caps() + [_other_argv(rng) for _ in range(OTHER_CALLS)]:
         code, out, err, elapsed = _call(argv)
         codes.add(code)
         _check_call(argv, code, out, err, elapsed)
@@ -243,7 +247,7 @@ def _parsed(parser, argv):
 def test_a_parser_for_one_command_parses_as_the_full_parser():
     rng, other_rng = random.Random(SEED), random.Random(SEED + 1)
     argvs = _at_the_caps() + [_argv(rng) for _ in range(CALLS)]
-    argvs += [_other_argv(other_rng) for _ in range(OTHER_CALLS)]
+    argvs += _other_at_the_caps() + [_other_argv(other_rng) for _ in range(OTHER_CALLS)]
     full = cli.build_parser()
     named = {command: cli.build_parser(command) for command in {argv[0] for argv in argvs}}
     assert len(named) == 6

@@ -1,4 +1,4 @@
-"""Value semantics of the eleven record classes: equality, hash, immutability,
+"""Value semantics of the nine record classes: equality, hash, immutability,
 repr and construction-time validation."""
 
 import copy
@@ -11,7 +11,7 @@ import pytest
 from hilbertmod.abgroups import AbGroupExpr
 from hilbertmod.assembler import ClassCounts, GroupData, Mode
 from hilbertmod.cyclicreps import RepCounts
-from hilbertmod.pchain import Chain, CoeffToken, E1Page, NodeKind, NodeTag, TokenKind
+from hilbertmod.pchain import CoeffToken, NodeKind, NodeTag, TokenKind
 from hilbertmod.quadfield import FieldSpec, QuadElem, TraceCandidate
 
 F5 = FieldSpec(5)
@@ -42,8 +42,6 @@ FROZEN = [
     (NodeTag(NodeKind.MAXIMAL, 5), NodeTag(kind=NodeKind.MAXIMAL, order=5),
      NodeTag(NodeKind.MAXIMAL),
      "NodeTag(kind=<NodeKind.MAXIMAL: 'maximal'>, order=5)"),
-    (Chain(("G/1", "G/M1")), Chain(nodes=("G/1", "G/M1")), Chain(("G/1",)),
-     "Chain(nodes=('G/1', 'G/M1'))"),
     (CoeffToken(TokenKind.H_BG), CoeffToken(TokenKind.H_BG, None),
      CoeffToken(TokenKind.H_BM, 2),
      "CoeffToken(kind=<TokenKind.H_BG: 'Hq(BG)'>, order=None)"),
@@ -80,19 +78,6 @@ def test_records_work_as_keys():
 def test_quad_elem_components_become_fractions():
     x = QuadElem(1, 0.5, F5)
     assert type(x.a) is Fraction and type(x.b) is Fraction and x.b == HALF
-
-
-def test_e1_page_is_mutable_and_unhashable():
-    page = E1Page()
-    assert repr(page) == "E1Page(columns={})" and page == E1Page()
-    page.add(1, CoeffToken(TokenKind.H_BM, 2))
-    assert page != E1Page() and page.column(1) == {CoeffToken(TokenKind.H_BM, 2): 1}
-    assert pickle.loads(pickle.dumps(page)) == page == copy.deepcopy(page)
-    page.columns = {}
-    assert page == E1Page()
-    assert E1Page.d1_rationally_injective is True and page.d1_rationally_injective is True
-    with pytest.raises(TypeError):
-        hash(E1Page())
 
 
 @pytest.mark.parametrize("build, message", [

@@ -59,10 +59,7 @@ def corpus() -> list:
 
     rng, other_rng = random.Random(fuzz.SEED), random.Random(fuzz.SEED + 1)
     argvs = fuzz._at_the_caps() + [fuzz._argv(rng) for _ in range(fuzz.CALLS)]
-    # the at-the-caps argv of test_fuzzed_field_reps_classnum_chains_argv
-    argvs += [["chains", "--poset", "sl", "--m", "10000", "--p", "1", "--json"],
-              ["classnum", str(-10**8), "--json"], ["reps", str(10**7), "--json"],
-              ["field", "999999999989", "--approx", "--json"]]
+    argvs += fuzz._other_at_the_caps()
     argvs += [fuzz._other_argv(other_rng) for _ in range(fuzz.OTHER_CALLS)]
     argvs += [shlex.split(line, comments=True)[1:]
               for line in test_readme._block("## Command line", "sh")
