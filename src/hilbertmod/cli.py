@@ -36,8 +36,10 @@ Linux's 128 KiB) answers within 5 s; in-process ``main(argv)`` past that is
 bounded by the caps, not promised 5 s: ``ranks 5 --q=`` with 10^4 degrees of
 4300 digits takes 5.8 s (Python 3.11, 2 vCPUs).
 
-Each call registers all six subcommands, which ``-h`` and the invalid-choice
-error list, and declares arguments only for the one it parses.
+Each call registers all six subcommands, which ``-h``, the invalid-choice
+error and the top-level usage list, and declares arguments only for the one
+it parses; the other five get no ``-h`` either.  argparse never hands them a
+command line, and those messages read only their names and help lines.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error (its traceback follows on stderr).
@@ -454,9 +456,10 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser; only subcommand ``command`` gets its arguments, all when None.
 
-    Every subcommand is registered, since -h and the invalid-choice error
-    list them all, but argparse hands a command line to one sub-parser, so
-    the others need no arguments to parse it.
+    Every subcommand is registered, since -h, the invalid-choice error and
+    the top-level usage list them all, and they read only each name and help
+    line.  argparse hands a command line to one sub-parser, so the others
+    need no arguments to parse it and no -h, which they could never run.
     """
     # Every parser's formatters get their width up front.  Without one, each
     # formatter argparse makes (one per argument, to check its metavar) asks
@@ -472,8 +475,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
         _Parser, formatter_class=formatter))
     for name, (help_text, declare, _, _) in _COMMANDS.items():
-        p_cmd = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
+        p_cmd = sub.add_parser(name, help=help_text, add_help=command in (None, name))
+        if p_cmd.add_help:
             declare(p_cmd)
             p_cmd.add_argument("--json", action="store_true")
     return parser

@@ -854,8 +854,8 @@ def test_a_parser_for_one_command_registers_all_and_declares_one(monkeypatch, co
     assert list(subs) == list(full_subs) == COMMANDS
     assert subs[command].format_help() == full_subs[command].format_help()
     assert subs[command].format_usage() == full_subs[command].format_usage()
-    # the other five sub-parsers hold only their -h
-    assert [len(subs[name]._actions) for name in COMMANDS if name != command] == [1] * 5
+    # the other five sub-parsers hold nothing, not even -h
+    assert [len(subs[name]._actions) for name in COMMANDS if name != command] == [0] * 5
 
 
 def _exit_and_output(capsys, argv):
@@ -869,7 +869,8 @@ def _exit_and_output(capsys, argv):
 
 # main builds the parser for the first argument that is not an option
 EDGE_ARGV = [[], ["-h"], ["-h", "ranks"], ["ranks", "-h"], ["--", "ranks", "5", "--q", "1"],
-             ["-", "ranks"], ["-5", "ranks"], ["--json", "ranks", "5", "--q", "1"], ["bogus"]]
+             ["-", "ranks"], ["-5", "ranks"], ["--json", "ranks", "5", "--q", "1"], ["bogus"],
+             ["--he", "ranks"], ["ranks", "5", "--q", "1", "extra"]]
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=[" ".join(argv) or "no-arguments"

@@ -9,7 +9,8 @@ The corpus:
   and ``SEED + 1``, with their at-the-caps argv);
 * the README commands;
 * ``-h`` and ``--help`` at the top and under every subcommand, and the edge
-  argv ``[]``, ``bogus``, ``-``, ``-5 ranks`` and ``--json``;
+  argv ``[]``, ``bogus``, ``-``, ``-5 ranks``, ``--json``, ``--he ranks``
+  and ``ranks 5 --q 1 extra``;
 * the first 300 requests (seed 11) of perfbench's three in-process
   workloads, each argv run as given and with ``--json`` toggled, and their
   library rank routes, recorded as value lists.
@@ -47,7 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("field", "ranks", "whitehead", "reps", "classnum", "chains")
 WORKLOADS = ("census_sweep", "degree_table", "heavy_inputs")
-EDGE_ARGV = [[], ["bogus"], ["-"], ["-5", "ranks"], ["--json"]]
+EDGE_ARGV = [[], ["bogus"], ["-"], ["-5", "ranks"], ["--json"], ["--he", "ranks"],
+             ["ranks", "5", "--q", "1", "extra"]]
 
 
 def corpus() -> list:
