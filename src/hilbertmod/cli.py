@@ -36,10 +36,11 @@ Linux's 128 KiB) answers within 5 s; in-process ``main(argv)`` past that is
 bounded by the caps, not promised 5 s: ``ranks 5 --q=`` with 10^4 degrees of
 4300 digits takes 5.8 s (Python 3.11, 2 vCPUs).
 
-Each call registers all six subcommands, which ``-h``, the invalid-choice
-error and the top-level usage list, and declares arguments only for the one
-it parses; the other five get no ``-h`` either.  argparse never hands them a
-command line, and those messages read only their names and help lines.
+A call whose first argument names a subcommand builds the top level and
+that sub-parser only: argparse hands it the rest of the command line, and
+the top level then prints at most its usage, whose choice list stays whole.
+Every other call registers all six, which ``-h``, the invalid-choice error
+and the missing-command error list.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
 4 missing abelianization, 1 internal error (its traceback follows on stderr).
@@ -454,12 +455,12 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; only subcommand ``command`` gets its arguments, all when None.
+    """The CLI parser with sub-parser ``command`` only, or all six when None.
 
-    Every subcommand is registered, since -h, the invalid-choice error and
-    the top-level usage list them all, and they read only each name and help
-    line.  argparse hands a command line to one sub-parser, so the others
-    need no arguments to parse it and no -h, which they could never run.
+    With one sub-parser registered, the top-level usage still lists all six
+    choices: the subparsers action gets them as its metavar.  It gets none
+    when all six are registered, since a metavar would rename the action in
+    the invalid-choice and missing-command errors.
     """
     # Every parser's formatters get their width up front.  Without one, each
     # formatter argparse makes (one per argument, to check its metavar) asks
@@ -472,22 +473,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "for Hilbert modular groups over real quadratic fields.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
-        _Parser, formatter_class=formatter))
-    for name, (help_text, declare, _, _) in _COMMANDS.items():
-        p_cmd = sub.add_parser(name, help=help_text, add_help=command in (None, name))
-        if p_cmd.add_help:
-            declare(p_cmd)
-            p_cmd.add_argument("--json", action="store_true")
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=partial(_Parser, formatter_class=formatter),
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else [command]:
+        help_text, declare, _, _ = _COMMANDS[name]
+        p_cmd = sub.add_parser(name, help=help_text)
+        declare(p_cmd)
+        p_cmd.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The first argument that is not an option names the sub-parser argparse
-    # dispatches to: the top level takes only -h, which has no value, and a
-    # first positional such as "-" or "-5" is refused before any sub-parser.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    # A leading subcommand name gets the rest of argv, so only its sub-parser
+    # is built; any other argv may end in a message that lists all six.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     _, _, run, render = _COMMANDS[args.command]
     try:

@@ -845,17 +845,17 @@ COMMANDS = ["field", "ranks", "whitehead", "reps", "classnum", "chains"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_parser_for_one_command_registers_all_and_declares_one(monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "80")
-    full, named = cli.build_parser(), cli.build_parser(command)
-    assert named.format_help() == full.format_help()
-    full_subs = full._subparsers._group_actions[0].choices
-    subs = named._subparsers._group_actions[0].choices
-    assert list(subs) == list(full_subs) == COMMANDS
-    assert subs[command].format_help() == full_subs[command].format_help()
-    assert subs[command].format_usage() == full_subs[command].format_usage()
-    # the other five sub-parsers hold nothing, not even -h
-    assert [len(subs[name]._actions) for name in COMMANDS if name != command] == [0] * 5
+def test_a_parser_for_one_command_registers_it_alone_with_the_full_usage(monkeypatch, command):
+    for columns in ("80", "20"):
+        monkeypatch.setenv("COLUMNS", columns)
+        full, named = cli.build_parser(), cli.build_parser(command)
+        full_subs = full._subparsers._group_actions[0].choices
+        subs = named._subparsers._group_actions[0].choices
+        assert list(subs) == [command] and list(full_subs) == COMMANDS
+        # the top level names all six choices in its usage, the only text it prints
+        assert named.format_usage() == full.format_usage(), columns
+        assert subs[command].format_help() == full_subs[command].format_help(), columns
+        assert subs[command].format_usage() == full_subs[command].format_usage(), columns
 
 
 def _exit_and_output(capsys, argv):
@@ -867,10 +867,11 @@ def _exit_and_output(capsys, argv):
     return code, captured.out, captured.err
 
 
-# main builds the parser for the first argument that is not an option
+# main builds one sub-parser when the first argument names it, else all six
 EDGE_ARGV = [[], ["-h"], ["-h", "ranks"], ["ranks", "-h"], ["--", "ranks", "5", "--q", "1"],
              ["-", "ranks"], ["-5", "ranks"], ["--json", "ranks", "5", "--q", "1"], ["bogus"],
-             ["--he", "ranks"], ["ranks", "5", "--q", "1", "extra"]]
+             ["--he", "ranks"], ["ranks", "5", "--q", "1", "extra"], ["ranks"],
+             ["field", "5", "ranks"], ["ranks", "--", "5", "--q", "1"], ["reps", "-h", "extra"]]
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=[" ".join(argv) or "no-arguments"
@@ -881,6 +882,53 @@ def test_main_answers_as_the_parser_of_every_command_does(capsys, monkeypatch, a
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser(None))
     assert _exit_and_output(capsys, argv) == answer
+
+
+# parsers built per call: the top level and one sub-parser, or all six
+PARSERS_BUILT = [(["ranks", "5", "--q", "1"], 2), (["reps", "5"], 2),
+                 (["chains", "--poset", "sl", "--m", "6", "--p", "2"], 2),
+                 ([], 7), (["-h"], 7), (["bogus"], 7), (["--json", "ranks", "5", "--q", "1"], 7),
+                 (["-5", "ranks"], 7)]
+
+
+@pytest.mark.parametrize("argv, built", PARSERS_BUILT,
+                         ids=[" ".join(argv) or "no-arguments" for argv, _ in PARSERS_BUILT])
+def test_main_builds_the_top_level_and_only_the_named_sub_parser(capsys, monkeypatch, argv,
+                                                                 built):
+    inits = []
+
+    def counting(self, *args, _inner=cli._Parser.__init__, **kwargs):
+        inits.append(kwargs.get("prog"))
+        _inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    _exit_and_output(capsys, argv)
+    monkeypatch.undo()
+    assert len(inits) == built, inits
+
+
+def test_command_errors_name_the_action_command(capsys, monkeypatch):
+    # a metavar on the subparsers action would name it here in place of "command"
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = "usage: hilbertmod [-h] {field,ranks,whitehead,reps,classnum,chains} ...\n"
+    code, out, err = _exit_and_output(capsys, ["bogus"])
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err.startswith(usage + "hilbertmod: error: argument command: invalid choice: 'bogus'")
+    assert _exit_and_output(capsys, []) == (
+        EXIT_INVALID_INPUT, "", usage + "hilbertmod: error: the following arguments are required: "
+                                        "command\n")
+
+
+def test_unrecognized_arguments_print_the_wrapped_top_level_usage(capsys, monkeypatch):
+    # at 20 columns every part of the usage takes a line of its own; Python
+    # 3.13 keeps a sub-parser's "..." on the line of its choices
+    monkeypatch.setenv("COLUMNS", "20")
+    choices = "       {field,ranks,whitehead,reps,classnum,chains}"
+    usage = ("usage: hilbertmod\n       [-h]\n"
+             + (f"{choices} ...\n" if sys.version_info >= (3, 13) else f"{choices}\n       ...\n"))
+    assert cli.build_parser().format_usage() == usage
+    assert _exit_and_output(capsys, ["ranks", "5", "--q", "1", "extra"]) == (
+        EXIT_INVALID_INPUT, "", usage + "hilbertmod: error: unrecognized arguments: extra\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ The corpus:
   and ``SEED + 1``, with their at-the-caps argv);
 * the README commands;
 * ``-h`` and ``--help`` at the top and under every subcommand, and the edge
-  argv ``[]``, ``bogus``, ``-``, ``-5 ranks``, ``--json``, ``--he ranks``
-  and ``ranks 5 --q 1 extra``;
+  argv ``[]``, ``bogus``, ``-``, ``-5 ranks``, ``--json``, ``--he ranks``,
+  ``ranks 5 --q 1 extra``, ``ranks``, ``field 5 ranks``,
+  ``ranks -- 5 --q 1`` and ``reps -h extra``;
 * the first 300 requests (seed 11) of perfbench's three in-process
   workloads, each argv run as given and with ``--json`` toggled, and their
   library rank routes, recorded as value lists.
@@ -49,7 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("field", "ranks", "whitehead", "reps", "classnum", "chains")
 WORKLOADS = ("census_sweep", "degree_table", "heavy_inputs")
 EDGE_ARGV = [[], ["bogus"], ["-"], ["-5", "ranks"], ["--json"], ["--he", "ranks"],
-             ["ranks", "5", "--q", "1", "extra"]]
+             ["ranks", "5", "--q", "1", "extra"], ["ranks"], ["field", "5", "ranks"],
+             ["ranks", "--", "5", "--q", "1"], ["reps", "-h", "extra"]]
 
 
 def corpus() -> list:
