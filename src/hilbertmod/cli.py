@@ -88,98 +88,11 @@ _EXIT_CODES = {MissingClassDataError: EXIT_MISSING_CLASS_DATA,
 
 
 def canonical_json(payload) -> str:
-    """Canonical serialization: reparsing and re-rendering is byte-identical.
-
-    The bytes equal ``json.dumps(payload, sort_keys=True, indent=2,
-    ensure_ascii=True)``.  They are written here because json's C encoder
-    serves only ``indent=None``; with an indent json runs its pure-Python
-    encoder, which costs about twice this writer on a ``ranks`` table.
-    """
-    # on first use: no plain-text command needs json
-    from json.encoder import encode_basestring_ascii as quote
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)``."""
+    from ._json import write  # on first use: no plain-text command needs its code or json
     parts = []
-    _write_json(payload, parts.append, quote, "\n")
+    write(payload, parts.append, "\n")
     return "".join(parts)
-
-
-def _write_json(value, put, quote, indent: str) -> None:
-    """Append ``value`` as json would; ``indent`` is a newline and the current spaces.
-
-    Plain ints and strs, nearly every leaf of an envelope, are written
-    without a call; every other leaf goes through ``_json_scalar``.
-    """
-    if isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = indent + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(value):
-            item = value[key]
-            name = quote(key) if type(key) is str else _json_key(key, quote)
-            kind = type(item)
-            if kind is int:
-                put(f"{sep}{name}: {item}")
-            elif kind is str:
-                put(f"{sep}{name}: {quote(item)}")
-            elif isinstance(item, (dict, list, tuple)):
-                put(f"{sep}{name}: ")
-                _write_json(item, put, quote, inner)
-            else:
-                put(f"{sep}{name}: {_json_scalar(item, quote)}")
-            sep = comma
-        put(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = indent + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in value:
-            kind = type(item)
-            if kind is int:
-                put(f"{sep}{item}")
-            elif kind is str:
-                put(sep + quote(item))
-            elif isinstance(item, (dict, list, tuple)):
-                put(sep)
-                _write_json(item, put, quote, inner)
-            else:
-                put(sep + _json_scalar(item, quote))
-            sep = comma
-        put(indent + "]")
-    else:
-        put(_json_scalar(value, quote))
-
-
-def _json_key(key, quote) -> str:
-    """A dict key that is not a plain str, as json writes it or refuses it."""
-    if not (key is None or isinstance(key, (str, int, float))):  # bool is an int
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return quote(key if isinstance(key, str) else _json_scalar(key, quote))
-
-
-def _json_scalar(value, quote) -> str:
-    """A leaf as json writes it; ``quote`` writes strings."""
-    if isinstance(value, str):
-        return quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _int_arg(text: str) -> int:

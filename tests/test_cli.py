@@ -4,6 +4,7 @@ import enum
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbertmod import classnumbers, cli
+from hilbertmod import _json, classnumbers, cli
 from hilbertmod.abgroups import MAX_FREE_RANK, AbGroupExpr
 from hilbertmod._text import MAX_MESSAGE, clip
 from hilbertmod.assembler import (
@@ -1447,6 +1448,97 @@ def test_canonical_json_writes_what_json_dumps_writes(capsys):
         assert canonical_json(payload) == reference_json(payload), payload
 
 
+# Keys and strings that a layout or quoting slip would mangle.
+_KEYS = ["q", "case", "value", "a{b", "}", "{}", '"x"', "caf\u00e9", "\u2603", "", "back\\slash"]
+_STRS = ["", "q=0", "G/{+-I}", "{0}", "%s", '"q"', "tab\t", "\u00e9", "\U0001f600", "\ud800"]
+# Leaves no uniform column may hold: exact types only.
+_ODD_LEAVES = [True, False, 1.5, float("nan"), None, _Int(7), _Str("q"), [], {}, (), [1], {"q": 1}]
+
+
+def _random_rows(rng):
+    """Rows of one kind and shape, each column plain ints only or plain strs only."""
+    kinds = [rng.choice([int, str]) for _ in range(rng.randint(1, 4))]
+    leaf = {int: lambda: rng.choice([0, -1, rng.randrange(-10**30, 10**30)]),
+            str: lambda: rng.choice(_STRS)}
+    shape = rng.choice([tuple, list, dict])
+    keys = rng.sample(_KEYS, len(kinds))
+    rows = []
+    for _ in range(rng.choice([1, 2, 8, 9, 10, 40])):
+        leaves = [leaf[kind]() for kind in kinds]
+        if shape is dict:
+            order = rng.sample(range(len(keys)), len(keys))  # insertion order varies
+            rows.append({keys[i]: leaves[i] for i in order})
+        else:
+            rows.append(shape(leaves))
+    return rows
+
+
+def _near_miss(rng, rows):
+    """``rows``, two or more, with one defect that makes them not uniform."""
+    rows = list(rows)
+    i = rng.randrange(len(rows))
+    row, defect = rows[i], rng.choice(["leaf", "length", "empty", "kind", "key"])
+    if defect == "leaf":  # an odd leaf in an otherwise uniform column
+        row = dict(row) if isinstance(row, dict) else list(row)
+        row[rng.choice(list(row) if isinstance(row, dict) else range(len(row)))] = \
+            rng.choice(_ODD_LEAVES)
+        rows[i] = tuple(row) if isinstance(rows[i], tuple) else row
+    elif defect == "length":  # a row one leaf longer or shorter
+        if isinstance(row, dict):
+            items = list(row.items())
+            rows[i] = dict(items[1:] if rng.random() < 0.5 else [*items, ("zz", 1)])
+        else:
+            rows[i] = type(row)(row[1:] if rng.random() < 0.5 else [*row, 1])
+    elif defect == "empty":  # empty inner containers, some or all
+        rows = [type(r)() for r in rows] if rng.random() < 0.5 else rows
+        rows[i] = type(row)()
+    elif defect == "kind":  # one row of another kind, or no row at all
+        other = {tuple: list, list: tuple, dict: list}[type(row)]
+        rows[i] = rng.choice([other(row.values() if isinstance(row, dict) else row), 7, "row"])
+    else:  # another str key, int keys, or str-subclass keys (these stand out in the first row)
+        if not isinstance(row, dict):
+            rows[i] = {"q": 1}
+        else:
+            how = rng.choice(["other", "int", "subclass"])
+            i = 0 if how == "subclass" else i
+            items = list(rows[i].items())
+            if how == "other":
+                items[0] = ("zz", items[0][1])
+            rows[i] = {(k if how == "other" else n if how == "int" else _Str(k)): v
+                       for n, (k, v) in enumerate(items)}
+    return rows
+
+
+def test_canonical_json_matches_json_on_random_rows_and_near_misses():
+    rng = random.Random(26)
+    for _ in range(1500):
+        rows = _random_rows(rng)
+        uniform = len(rows) == 1 or rng.random() < 0.5
+        if not uniform:
+            rows = _near_miss(rng, rows)
+        text = _json._uniform_rows(rows, "\n")  # the one-pass writer takes uniform rows only
+        assert (text is not None) == uniform
+        assert text is None or text == reference_json(rows)
+        payload = rng.choice([rows, tuple(rows), {"result": {"rows": rows}, "n": len(rows)},
+                              [rows, {"x": rows}]])
+        assert canonical_json(payload) == reference_json(payload), payload
+
+
+def test_canonical_json_matches_json_on_large_envelopes(capsys, monkeypatch):
+    payloads = []
+    write = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda p: payloads.append(p) or write(p))
+    for argv in (["classnum", "-99999999"], ["chains", "--poset", "sl", "--m", "40", "--p", "2"],
+                 ["ranks", "5", "--q=" + ",".join(map(str, range(-6, MAX_DEGREES - 6)))]):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert out == reference_json(payloads[-1]) + "\n", argv[0]
+    forms, chains, rows = (p["result"][k] for p, k in zip(
+        payloads, ["reduced_forms", "chains", "rows"]))
+    assert (len(forms), len(chains), len(rows)) == (6976, 40, MAX_DEGREES)
+    assert type(forms[0]) is tuple and type(chains[0]) is tuple and type(rows[0]) is dict
+
+
 def test_every_numeric_result_tagged(capsys):
     for argv in [("field", "5"), ("ranks", "5", "--q", "1"), ("reps", "5")]:
         payload = run_json(capsys, *argv)
@@ -1454,8 +1546,11 @@ def test_every_numeric_result_tagged(capsys):
         assert set(payload["provenance"].values()) <= {"paper-table", "computed"}
 
 
-@pytest.mark.parametrize("payload", [{"x": object()}, {(1, 2): "x"}],
-                         ids=["object-value", "tuple-key"])
+@pytest.mark.parametrize("payload", [
+    {"x": object()}, {(1, 2): "x"},
+    {"rows": [{"q": q, "case": "q=0"} for q in range(9)] + [{"q": object(), "case": "q=0"}]},
+    [(a, -a, 1) for a in range(12)] + [(1, object(), 1)] + [(a, a, a) for a in range(5)],
+], ids=["object-value", "tuple-key", "object-in-uniform-dict-rows", "object-in-int-tuples"])
 def test_canonical_json_refuses_what_json_refuses(payload):
     with pytest.raises(TypeError) as expected:
         json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True)

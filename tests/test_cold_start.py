@@ -8,8 +8,10 @@ child of ``perfbench`` imports only ``hilbertmod.cli`` and then looks each
 traced module up in ``sys.modules``.
 
 Running a command must not load ``shutil`` (argparse imports it to size
-help text, and it pulls in the compression modules) or ``fractions``
-(only a ``QuadElem`` needs it, so only ``field`` and library callers).
+help text, and it pulls in the compression modules), ``fractions``
+(only a ``QuadElem`` needs it, so only ``field`` and library callers) or
+``json`` (only ``--json`` serializes: ``canonical_json`` imports its writer,
+``hilbertmod._json``, and with it json, on first use).
 """
 
 import os
@@ -38,7 +40,7 @@ def test_cli_import_loads_no_heavy_module_and_every_pipeline_module():
 # Commands that build no QuadElem; run in one process, they load none of these.
 COMMANDS = (["reps", "5"], ["classnum", "-23"], ["chains", "--poset", "sl", "--m", "6", "--p", "2"],
             ["ranks", "5", "--q", "5,7,1,0,-1"], ["whitehead", "5", "--mode", "sl", "--q", "1"])
-NOT_LOADED_BY_COMMANDS = ("fractions", "decimal", "shutil", "bz2", "lzma", "zlib")
+NOT_LOADED_BY_COMMANDS = ("fractions", "decimal", "shutil", "bz2", "lzma", "zlib", "json")
 FIELD_5 = """\
 field Q(sqrt(5))
 integral basis: 1, (1+sqrt(5))/2
