@@ -88,7 +88,7 @@ def _uniform_rows(rows, indent: str) -> str | None:
     for i, column in enumerate(columns):
         kinds = set(map(type, column))  # exact: bools, floats, None and subclasses fail
         if kinds == {int}:
-            column = map(str, column)
+            column = map(repr, column)  # an exact int's digits, with no call through type
         elif kinds == {str}:
             column = map({text: quote(text) for text in set(column)}.__getitem__, column)
         else:

@@ -17,8 +17,9 @@ and 0 otherwise.  :func:`rank_diff` implements this directly;
 instead (using the representation counts, not the K-rank helper), and the
 two must agree everywhere.  At q = -1 the per-row form is read as
 m - sum_(M) [ q(M) - sum_{p | |M|} (k_p(M) - r_p(M)) ], the only
-parenthesization consistent with the direct formula, with q(M), k_p(M)
-and r_p(M) read from one :func:`~hilbertmod.cyclicreps.rep_counts` per class.
+parenthesization consistent with the direct formula, and summed class by
+class as sum_(M) [ 1 - q(M) + sum_{p | |M|} (k_p(M) - r_p(M)) ], with q(M),
+k_p(M) and r_p(M) read off one factorization of |M|.
 
 Class-count data is a user input except for the one built-in entry d = 5,
 where the maximal finite subgroups are Z_2, Z_3, Z_5 with two conjugacy
@@ -33,7 +34,7 @@ from enum import Enum
 from ._record import Record
 from ._text import excerpt, over_digit_cap
 from .abgroups import AbGroupExpr
-from .cyclicreps import c_count, q_count, r_count, rep_counts, require_order
+from .cyclicreps import _q_and_local, c_count, q_count, r_count, require_order
 from .finitek import rank_H_BM, rank_K_cyclic, wh_cyclic
 from .quadfield import FieldSpec, allowed_orders
 
@@ -236,22 +237,33 @@ def rank_diff_from_case_table(g: GroupData, q: int) -> int:
 
     Written against the representation counts directly (not the K-rank
     helper), so the two code paths share only the counts, which the tests
-    check against orbit oracles; at q = 0 the row collapses to 0 because
-    every class contributes K-rank 1 and one rank-one homology class.
+    check against orbit oracles.  Each row is one pass over the classes
+    (M) with count classes each, adding per class:
+
+    * q > 2, q = 1 mod 4: count * (r(M) - 1), the K-rank less the
+      rank-one homology;
+    * q > 2, q = 3 mod 4: count * c(M);
+    * q = 1: count * (r(M) - q(M));
+    * q = -1: count * (1 - q(M) + sum_{p | |M|} (k_p(M) - r_p(M)));
+    * q = 0, and every other q: nothing, since at q = 0 each class has
+      K-rank 1 and one rank-one homology class.
     """
     if g.mode is not Mode.PSL:
         raise ValueError("the rank difference formula applies to the projective group")
-    entries = g.class_counts.entries
+    total = 0
     if q > 2:
-        if q % 4 == 1:
-            return sum(count * r_count(n) for n, count in entries) - g.class_counts.m
-        return sum(count * c_count(n) for n, count in entries) if q % 4 == 3 else 0
-    if q == 1:
-        return sum(count * (r_count(n) - q_count(n)) for n, count in entries)
-    if q == -1:  # q(M), k_p(M) and r_p(M) from one rep_counts per class
-        deficit = 0
-        for n, count in entries:
-            rc = rep_counts(n)
-            deficit += count * (rc.q - sum(kp - rp for _, kp, rp in rc.local))
-        return g.class_counts.m - deficit
-    return 0
+        row = q % 4
+        if row == 1:
+            for n, count in g.class_counts.entries:
+                total += count * (r_count(n) - 1)
+        elif row == 3:
+            for n, count in g.class_counts.entries:
+                total += count * c_count(n)
+    elif q == 1:
+        for n, count in g.class_counts.entries:
+            total += count * (r_count(n) - q_count(n))
+    elif q == -1:
+        for n, count in g.class_counts.entries:
+            divisors, local = _q_and_local(n)
+            total += count * (1 - divisors + sum(kp - rp for _, kp, rp in local))
+    return total

@@ -117,7 +117,7 @@ def _parse_q_list(text: str) -> list[int]:
         raise ValueError(f"degrees must have at most 4300 digits, "
                          f"got a longer entry in {excerpt(text)}")
     try:
-        degrees = [int(part) for part in parts]
+        degrees = list(map(int, parts))
     except ValueError as exc:
         if not text.strip():
             raise ValueError("empty degree list") from None

@@ -197,11 +197,19 @@ class RepCounts(Record):
         object.__setattr__(self, "local", local)
 
 
-def rep_counts(n: int) -> RepCounts:
-    """All counts of Z_n, read off one factorization of n."""
+def _q_and_local(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """q(n) and the (p, k_p, r_p) triples of Z_n, ascending p, read off one
+    factorization of n: all that the q = -1 rank rows need."""
     require_order(n)
     factors = factorize(n)
-    cosets = {p: _p_cosets(factors, p) for p in factors}
-    local = tuple((p, (a + 1) * cosets[p], cosets[p]) for p, a in factors.items())
-    return RepCounts(n=n, r=r_count(n), c=c_count(n),
-                     q=prod(a + 1 for a in factors.values()), local=local)
+    local = []
+    for p, a in factors.items():
+        r_p = _p_cosets(factors, p)
+        local.append((p, (a + 1) * r_p, r_p))
+    return prod(a + 1 for a in factors.values()), tuple(local)
+
+
+def rep_counts(n: int) -> RepCounts:
+    """All counts of Z_n, read off one factorization of n."""
+    q, local = _q_and_local(n)
+    return RepCounts(n=n, r=r_count(n), c=c_count(n), q=q, local=local)

@@ -27,7 +27,7 @@ from enum import Enum
 from math import prod
 
 from .abgroups import AbGroupExpr
-from .cyclicreps import prime_powers, rep_counts, require_order
+from .cyclicreps import _q_and_local, prime_powers, require_order
 
 __all__ = [
     "RankCase",
@@ -57,18 +57,26 @@ def rank_case(q: int) -> RankCase:
 
 
 def rank_K_cyclic(n: int, q: int) -> int:
-    """Rational rank of K_q(Z[Z_n]): n checked once, r(n) = n//2 + 1,
-    c(n) = (n-1)//2 and the divisor count q(n) read off n directly."""
+    """Rational rank of K_q(Z[Z_n]), with n checked once.
+
+    q > 2 reads q % 4: r(n) = n // 2 + 1 at 1, c(n) = (n - 1) // 2 at 3,
+    else 0.  q = 1 is r(n) minus the divisor count q(n) of n's prime powers;
+    q = 0 is 1; q = -1 is 1 - q(n) + sum_p (k_p - r_p) over the triples
+    that cyclicreps reads off one factorization; every other q is 0.
+    """
     require_order(n)
     if q > 2:  # rows by q % 4, as in rank_case
-        return (0, n // 2 + 1, 0, (n - 1) // 2)[q % 4]
+        row = q % 4
+        if row == 1:
+            return n // 2 + 1
+        return (n - 1) // 2 if row == 3 else 0
     if q == 1:
         return n // 2 + 1 - prod(a + 1 for _, a in prime_powers(n))
     if q == 0:
         return 1
     if q == -1:
-        rc = rep_counts(n)
-        return 1 - rc.q + sum(kp - rp for _, kp, rp in rc.local)
+        divisors, local = _q_and_local(n)
+        return 1 - divisors + sum(kp - rp for _, kp, rp in local)
     return 0
 
 

@@ -223,8 +223,8 @@ def test_case_table_refuses_sl_mode_data():
 
 
 def test_case_table_rows_match_the_orbit_oracles():
-    # the case table and rank_K_cyclic both read rep_counts at q = -1, so
-    # check the table's rows against character orbits instead
+    # the case table and rank_K_cyclic both read cyclicreps' q(n) and local
+    # triples at q = -1, so check the table's rows against character orbits instead
     for n in range(2, 501):
         g = GroupData(source="generic", class_counts=ClassCounts(((n, 1),)))
         q_n = rational_irred_orbits(n)

@@ -22,6 +22,7 @@ from hilbertmod.assembler import (
     ClassCounts,
     GroupData,
     class_counts_for_field,
+    rank_diff,
     rank_diff_from_case_table,
 )
 from hilbertmod.cli import (
@@ -33,7 +34,7 @@ from hilbertmod.cli import (
     canonical_json,
     main,
 )
-from hilbertmod.finitek import rank_K_cyclic
+from hilbertmod.finitek import RankCase, rank_K_cyclic, rank_case
 from hilbertmod.quadfield import FieldSpec
 
 from oracles import kp_formula, reference_json, rp_formula
@@ -287,6 +288,19 @@ def test_ranks_builtin_field(capsys):
     # A list starting with a negative degree needs the --q=LIST form.
     payload = run_json(capsys, "ranks", "5", "--q=-1,7")
     assert [(row["q"], row["value"]) for row in payload["result"]["rows"]] == [(-1, 0), (7, 6)]
+
+
+def test_ranks_evaluates_rank_diff_once_per_row_of_the_rank_table(capsys, monkeypatch):
+    # rank_diff depends on q only through its row, so a long degree list
+    # costs six evaluations at most, and every row still reads rank_diff's value
+    calls = []
+    monkeypatch.setattr(cli, "rank_diff", lambda g, q: calls.append(q) or rank_diff(g, q))
+    degrees = range(-12, 2000)
+    payload = run_json(capsys, "ranks", "5", "--q=" + ",".join(map(str, degrees)))
+    assert sorted(rank_case(q).value for q in calls) == sorted(row.value for row in RankCase)
+    g = GroupData(FieldSpec(5), class_counts_for_field(FieldSpec(5)))
+    assert ([(row["q"], row["value"]) for row in payload["result"]["rows"]]
+            == [(q, rank_diff(g, q)) for q in degrees])
 
 
 def test_ranks_generic_classes_match_field(capsys):

@@ -14,7 +14,10 @@ The corpus:
   ``ranks -- 5 --q 1`` and ``reps -h extra``;
 * the first 300 requests (seed 11) of perfbench's three in-process
   workloads, each argv run as given and with ``--json`` toggled, and their
-  library rank routes, recorded as value lists.
+  library rank routes, recorded as value lists;
+* both library rank routes at ``ROW_DEGREES``, one degree per row of the
+  rank table, on each group source those route requests use (the five of
+  ``degree_table``), since its sampled degree lists need not hold 0 or 1.
 
 Each argv runs in process through ``hilbertmod.cli.main`` at COLUMNS=80,
 and its exit code, stdout and stderr are hashed.  One SHA-256 is printed per
@@ -52,6 +55,7 @@ WORKLOADS = ("census_sweep", "degree_table", "heavy_inputs")
 EDGE_ARGV = [[], ["bogus"], ["-"], ["-5", "ranks"], ["--json"], ["--he", "ranks"],
              ["ranks", "5", "--q", "1", "extra"], ["ranks"], ["field", "5", "ranks"],
              ["ranks", "--", "5", "--q", "1"], ["reps", "-h", "extra"]]
+ROW_DEGREES = [-2, -1, 0, 1, 5, 7]  # one degree per row of the rank table
 
 
 def corpus() -> list:
@@ -80,6 +84,9 @@ def corpus() -> list:
                 items += [["cli", list(payload)], ["cli", toggled]]
             else:
                 items.append([kind, list(payload)])
+    routes = [payload for kind, payload in items if kind != "cli"]
+    for d, classes in dict.fromkeys((d, classes) for d, classes, _ in routes):
+        items += [[route, [d, classes, ROW_DEGREES]] for route in ("case_table", "e1")]
     return items
 
 
