@@ -24,7 +24,7 @@ from .assembler import (
     whitehead_psl,
     whitehead_sl,
 )
-from .classnumbers import class_number, reduced_forms
+from .classnumbers import reduced_forms
 from .cyclicreps import RepCounts, c_count, kp_count, q_count, r_count, rep_counts, rp_count
 from .finitek import RankCase, rank_H_BM, rank_K_cyclic, wh_cyclic
 from .pchain import (
@@ -35,16 +35,6 @@ from .pchain import (
     rank_E1_column,
     sl_poset,
 )
-from .quadfield import (
-    FieldSpec,
-    QuadElem,
-    TraceCandidate,
-    allowed_orders,
-    elliptic_trace_candidates,
-    embed,
-    is_algebraic_integer,
-    is_elliptic_trace,
-    order_from_trace,
-)
+from .quadfield import FieldSpec, TraceCandidate, allowed_orders, elliptic_trace_candidates
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from math import gcd, isqrt
 
 from .cyclicreps import _primes_up_to
 
-__all__ = ["MAX_ABS_DISCRIMINANT", "is_discriminant", "reduced_forms", "class_number"]
+__all__ = ["MAX_ABS_DISCRIMINANT", "is_discriminant", "reduced_forms"]
 
 MAX_ABS_DISCRIMINANT = 10**8
 
@@ -111,7 +111,3 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
                         forms.append((a, -b, c))
     return sorted(forms)
 
-
-def class_number(D: int) -> int:
-    """h(D): the number of reduced primitive forms (always >= 1)."""
-    return len(reduced_forms(D))

@@ -71,7 +71,7 @@ from .cyclicreps import rep_counts
 from .classnumbers import reduced_forms
 from .finitek import rank_case
 from .pchain import enumerate_pchains, psl_poset, sl_poset
-from .quadfield import FieldSpec, elliptic_trace_candidates, allowed_orders, embed
+from .quadfield import FieldSpec, elliptic_trace_candidates, allowed_orders
 
 __all__ = ["main", "canonical_json"]
 
@@ -149,12 +149,9 @@ def _cmd_field(args) -> tuple[dict, dict]:
     field = FieldSpec(args.d)
     cand_payload = []
     for cand in elliptic_trace_candidates(field):
-        entry = {"trace": str(cand.trace), "psl_order": cand.psl_order}
+        entry = {"trace": str(cand), "psl_order": cand.psl_order}
         if args.approx:
-            entry["approx_embeddings"] = [
-                embed(cand.trace, 1).approx(),
-                embed(cand.trace, 2).approx(),
-            ]
+            entry["approx_embeddings"] = list(cand.embeddings())
         cand_payload.append(entry)
     result = {
         "d": field.d,

@@ -47,7 +47,6 @@ __all__ = [
     "rep_counts",
     "factorize",
     "prime_powers",
-    "prime_divisors",
     "is_prime",
 ]
 
@@ -106,10 +105,6 @@ def factorize(n: int) -> dict[int, int]:
 def is_prime(p: int) -> bool:
     """Primality: p is its own least prime factor."""
     return next(prime_powers(p), None) == (p, 1)
-
-
-def prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(factorize(n))
 
 
 def q_count(n: int) -> int:

@@ -28,44 +28,30 @@ and d < (4 - |x|)^2 then leaves x = +-1, d = 5: the keys (+-1, -4).  With
 |y| = 2, x is even and 4*d < (4 - |x|)^2 leaves x = 0, d in {2, 3}: the
 keys (0, -8) and (0, -12).  Those are the seven keys.
 
-Integrality, ellipticity and order are decided in one place, on the pair
-(x, y) = (2a, 2b) of t = a + b*sqrt(d), by the two tests above: the census
-and every public predicate go through them, so no decision compares an
+Integrality, ellipticity and order are decided in one place, on the
+integer pair (x, y) of t = (x + y*sqrt(d))/2, by the two tests above, and
+the census holds each trace as that pair, so no decision compares an
 irrational quantity with a rational one.
 """
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from ._record import Record
 from .cyclicreps import prime_powers
 
 __all__ = [
-    "OmegaKind",
     "FieldSpec",
     "MAX_D",
-    "QuadElem",
     "TraceCandidate",
     "is_square_free",
-    "is_algebraic_integer",
-    "embed",
-    "is_elliptic_trace",
     "elliptic_trace_candidates",
-    "order_from_trace",
     "allowed_orders",
 ]
 
 
 # Largest d accepted; it bounds the trial-division square-free test.
 MAX_D = 10**12
-
-
-class OmegaKind(Enum):
-    """Shape of the second integral basis element of Q(sqrt(d))."""
-
-    SQRT_D = "sqrt(d)"                      # d = 2, 3 mod 4
-    HALF_ONE_PLUS_SQRT_D = "(1+sqrt(d))/2"  # d = 1 mod 4
 
 
 def is_square_free(n: int) -> bool:
@@ -83,166 +69,25 @@ class FieldSpec(Record):
             raise ValueError(f"d must be a square-free integer in [2, 10^12], got {d}")
         object.__setattr__(self, "d", d)
 
-    @property
-    def omega_kind(self) -> OmegaKind:
-        if self.d % 4 == 1:
-            return OmegaKind.HALF_ONE_PLUS_SQRT_D
-        return OmegaKind.SQRT_D
-
-    def omega(self) -> "QuadElem":
-        """Second element of the integral basis (1, omega) of O_k."""
-        return self.from_basis(0, 1)
-
-    def element(self, a, b=0) -> "QuadElem":
-        """The element a + b*sqrt(d) with rational a, b."""
-        return QuadElem(a, b, self)
-
-    def from_basis(self, u: int, v: int) -> "QuadElem":
-        """The algebraic integer u + v*omega."""
-        from fractions import Fraction  # on first use: only a QuadElem needs it
-        if self.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
-            return QuadElem(Fraction(2 * u + v, 2), Fraction(v, 2), self)
-        return QuadElem(Fraction(u), Fraction(v), self)
-
     def omega_str(self) -> str:
-        if self.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
+        """Second element of the integral basis (1, omega) of O_k."""
+        if self.d % 4 == 1:
             return f"(1+sqrt({self.d}))/2"
         return f"sqrt({self.d})"
 
 
-class QuadElem(Record):
-    """The value a + b*sqrt(d), with exact rational components a and b."""
-
-    __slots__ = ("a", "b", "field")
-
-    def __init__(self, a, b, field: FieldSpec) -> None:
-        from fractions import Fraction  # on first use: the census runs on integers alone
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
-        object.__setattr__(self, "field", field)
-
-    def _check_same_field(self, other: "QuadElem") -> None:
-        if self.field != other.field:
-            raise ValueError("operands lie in different quadratic fields")
-
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        self._check_same_field(other)
-        return QuadElem(self.a + other.a, self.b + other.b, self.field)
-
-    def __sub__(self, other: "QuadElem") -> "QuadElem":
-        self._check_same_field(other)
-        return QuadElem(self.a - other.a, self.b - other.b, self.field)
-
-    def __mul__(self, other: "QuadElem") -> "QuadElem":
-        self._check_same_field(other)
-        d = self.field.d
-        return QuadElem(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            self.field,
-        )
-
-    def conjugate(self) -> "QuadElem":
-        """Image under the second embedding: a + b*sqrt(d) -> a - b*sqrt(d)."""
-        return QuadElem(self.a, -self.b, self.field)
-
-    def trace(self) -> Fraction:
-        """sigma1(x) + sigma2(x) = 2a, always rational."""
-        return 2 * self.a
-
-    def norm(self) -> Fraction:
-        """sigma1(x) * sigma2(x) = a^2 - d*b^2, always rational."""
-        return self.a * self.a - self.field.d * self.b * self.b
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d): -1, 0 or 1.
-
-        Case analysis on the signs of a and b; only in the mixed-sign case
-        are both sides squared, which is valid because their signs are then
-        already known.  No decision of the package rests on it: those are
-        made on (2a, 2b) by the integer tests of the module docstring.
-        """
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs = a * a
-        rhs = b * b * self.field.d
-        # lhs == rhs would force d to be a rational square; impossible here.
-        assert lhs != rhs
-        if lhs > rhs:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def approx(self) -> float:
-        """Floating approximation, for display only (never used in decisions)."""
-        return float(self.a) + float(self.b) * math.sqrt(self.field.d)
-
-    def __str__(self) -> str:
-        d = self.field.d
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt({d})"
-        if abs(self.b) != 1:
-            root = f"{abs(self.b)}*{root}"
-        if self.a == 0:
-            return root if self.b > 0 else f"-{root}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {root}"
-
-
 # ---------------------------------------------------------------------------
-# Ring of integers and embeddings
+# Integrality and ellipticity of t = (x + y*sqrt(d))/2
 # ---------------------------------------------------------------------------
 
-def _is_integral(x, y, d: int) -> bool:
-    """(x + y*sqrt(d))/2 lies in O_k: x, y are integers and 4 | x^2 - y^2*d."""
-    return x.denominator == y.denominator == 1 and (int(x) ** 2 - int(y) ** 2 * d) % 4 == 0
+def _is_integral(x: int, y: int, d: int) -> bool:
+    """(x + y*sqrt(d))/2 lies in O_k: 4 | x^2 - y^2*d."""
+    return (x * x - y * y * d) % 4 == 0
 
 
 def _is_elliptic(x: int, y: int, d: int) -> bool:
     """Both embeddings (x +- y*sqrt(d))/2 lie strictly inside (-2, 2)."""
     return abs(x) < 4 and y * y * d < (4 - abs(x)) ** 2
-
-
-def is_algebraic_integer(x: QuadElem) -> bool:
-    """Membership of x in Z + Z*omega, the ring of integers, decided on (2a, 2b)."""
-    return _is_integral(2 * x.a, 2 * x.b, x.field.d)
-
-
-def embed(x: QuadElem, i: int) -> QuadElem:
-    """The image of x under the i-th real embedding (i = 1 or 2).
-
-    sigma1 is the identity on components and sigma2 negates b.  Decimal
-    renderings of either image come from :meth:`QuadElem.approx`, which is
-    explicitly approximate.
-    """
-    if i == 1:
-        return x
-    if i == 2:
-        return x.conjugate()
-    raise ValueError(f"embedding index must be 1 or 2, got {i}")
-
-
-def is_elliptic_trace(t: QuadElem) -> bool:
-    """True if both embeddings of t lie strictly inside (-2, 2).
-
-    Decided on (2a, 2b) by the integer tests of the module docstring.  The
-    input must be an algebraic integer of its field; anything else is a
-    precondition violation and raises ValueError.
-    """
-    x, y, d = 2 * t.a, 2 * t.b, t.field.d
-    if not _is_integral(x, y, d):
-        raise ValueError(f"{t} is not an algebraic integer of Q(sqrt({d}))")
-    return _is_elliptic(int(x), int(y), d)
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +117,44 @@ def _elliptic_scan(d: int):
                 yield x, y, _order(x, y, d)
 
 
-def order_from_trace(t: QuadElem) -> int:
-    """Order in PSL2 of an elliptic element with trace t.
-
-    The element has order n exactly when t = 2*cos(j*pi/n) with
-    gcd(j, n) = 1; the module docstring shows that the seven minimal
-    polynomials in the order table are all that can occur.  Raises
-    ValueError when t is not an elliptic algebraic-integer trace.
-    """
-    if not is_elliptic_trace(t):
-        raise ValueError(f"{t} is not an elliptic trace")
-    return _order(int(2 * t.a), int(2 * t.b), t.field.d)
+def _half(n: int) -> str:
+    """n/2 as the lowest-terms fraction text: 1, -1/2, 0."""
+    return str(n // 2) if n % 2 == 0 else f"{n}/2"
 
 
 class TraceCandidate(Record):
-    """An elliptic trace together with the PSL2 order it corresponds to."""
+    """The elliptic trace t = (x + y*sqrt(d))/2 of a field, with its PSL2 order."""
 
-    __slots__ = ("trace", "psl_order")
+    __slots__ = ("x", "y", "field", "psl_order")
 
-    def __init__(self, trace: QuadElem, psl_order: int) -> None:
-        if not is_elliptic_trace(trace):
+    def __init__(self, x: int, y: int, field: FieldSpec, psl_order: int) -> None:
+        if not (_is_integral(x, y, field.d) and _is_elliptic(x, y, field.d)):
             raise ValueError("trace candidate must have both embeddings in (-2, 2)")
         if psl_order < 2:
             raise ValueError("PSL2 order of an elliptic element is at least 2")
-        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "psl_order", psl_order)
+
+    def embeddings(self) -> tuple[float, float]:
+        """Both real embeddings (x +- y*sqrt(d))/2 as floats, for display only
+        (never used in decisions)."""
+        a, b = self.x / 2, self.y / 2 * math.sqrt(self.field.d)
+        return a + b, a - b
+
+    def __str__(self) -> str:
+        """t as a + b*sqrt(d) with a, b in lowest terms: 1, -sqrt(2),
+        1/2 - 1/2*sqrt(5)."""
+        x, y = self.x, self.y
+        if y == 0:
+            return _half(x)
+        root = f"sqrt({self.field.d})"
+        if abs(y) != 2:
+            root = f"{_half(abs(y))}*{root}"
+        if x == 0:
+            return root if y > 0 else f"-{root}"
+        return f"{_half(x)} {'+' if y > 0 else '-'} {root}"
 
 
 def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
@@ -304,13 +162,9 @@ def elliptic_trace_candidates(field: FieldSpec) -> tuple[TraceCandidate, ...]:
 
     Each trace t = (x + y*sqrt(d))/2 of the integer scan, with its order
     read from the table by the key (x, x^2 - y^2*d).  Candidates are
-    returned sorted by (a, b), which is the (x, y) order of the scan.
+    returned sorted by (x, y), the order of the scan.
     """
-    from fractions import Fraction  # on first use: only a QuadElem needs it
-    return tuple(
-        TraceCandidate(QuadElem(Fraction(x, 2), Fraction(y, 2), field), n)
-        for x, y, n in _elliptic_scan(field.d)
-    )
+    return tuple(TraceCandidate(x, y, field, n) for x, y, n in _elliptic_scan(field.d))
 
 
 def allowed_orders(field: FieldSpec) -> tuple[int, ...]:

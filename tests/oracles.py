@@ -10,10 +10,11 @@ Warshall closure instead of up-sets grown by search, subset scans
 instead of chain extension along the order relation (and a first page
 read off those chains instead of the nodes and their up-sets),
 cyclotomic minimal polynomials instead of the order table of the trace
-census, the integral basis and exact signs of both embeddings instead
-of the integer tests on (2a, 2b), and json's own encoder instead of the
-CLI's envelope writer.  The implementations under test must agree with
-these.
+census, an exact element a + b*sqrt(d) with ``Fraction`` components, its
+integral basis and the exact signs of both embeddings instead of the
+integer pair (x, y) = (2a, 2b) the census holds and tests, and json's own
+encoder instead of the CLI's envelope writer.  The implementations under
+test must agree with these.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, isqrt
-
-from hilbertmod.quadfield import OmegaKind
+from math import gcd, isqrt, sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,11 @@ def prime_powers_by_trial_division(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The primes dividing n, ascending, by trial division."""
+    return tuple(p for p, _ in prime_powers_by_trial_division(n))
 
 
 def rp_formula(n: int, p: int) -> int:
@@ -347,6 +351,99 @@ def class_number_by_reduction(D: int, coeff_bound: int | None = None) -> tuple[i
 
 
 # ---------------------------------------------------------------------------
+# Exact elements a + b*sqrt(d) of Q(sqrt(d))
+# ---------------------------------------------------------------------------
+
+class Quad:
+    """The element a + b*sqrt(d), with exact rational components a and b.
+
+    A plain class: perfbench imports this module, and ``dataclasses`` would
+    add ``inspect`` and its imports to the harness's memory.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int) -> None:
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def __eq__(self, other) -> bool:
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+
+    def __repr__(self) -> str:
+        return f"Quad({self.a!r}, {self.b!r}, {self.d})"
+
+    @classmethod
+    def from_basis(cls, u: int, v: int, d: int) -> "Quad":
+        """The algebraic integer u + v*omega, omega = (1+sqrt(d))/2 or sqrt(d)."""
+        if d % 4 == 1:
+            return cls(Fraction(2 * u + v, 2), Fraction(v, 2), d)
+        return cls(u, v, d)
+
+    def _check_same_field(self, other: "Quad") -> None:
+        if self.d != other.d:
+            raise ValueError("operands lie in different quadratic fields")
+
+    def __add__(self, other: "Quad") -> "Quad":
+        self._check_same_field(other)
+        return Quad(self.a + other.a, self.b + other.b, self.d)
+
+    def __sub__(self, other: "Quad") -> "Quad":
+        self._check_same_field(other)
+        return Quad(self.a - other.a, self.b - other.b, self.d)
+
+    def __mul__(self, other: "Quad") -> "Quad":
+        self._check_same_field(other)
+        return Quad(self.a * other.a + self.b * other.b * self.d,
+                    self.a * other.b + self.b * other.a, self.d)
+
+    def conjugate(self) -> "Quad":
+        """Image under the second embedding: a + b*sqrt(d) -> a - b*sqrt(d)."""
+        return Quad(self.a, -self.b, self.d)
+
+    def trace(self) -> Fraction:
+        return 2 * self.a
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.d * self.b * self.b
+
+    def sign(self) -> int:
+        """Exact sign of a + b*sqrt(d): -1, 0 or 1.
+
+        Case analysis on the signs of a and b; only in the mixed-sign case
+        are both sides squared, which is valid because their signs are then
+        already known.
+        """
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        lhs, rhs = a * a, b * b * self.d
+        assert lhs != rhs  # equality would make d a rational square
+        if lhs > rhs:
+            return 1 if a > 0 else -1
+        return 1 if b > 0 else -1
+
+    def approx(self) -> float:
+        return float(self.a) + float(self.b) * sqrt(self.d)
+
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        root = f"sqrt({self.d})"
+        if abs(self.b) != 1:
+            root = f"{abs(self.b)}*{root}"
+        if self.a == 0:
+            return root if self.b > 0 else f"-{root}"
+        op = "+" if self.b > 0 else "-"
+        return f"{self.a} {op} {root}"
+
+
+# ---------------------------------------------------------------------------
 # Orders of elliptic traces via minimal polynomials of 2*cos(2*pi/m)
 # ---------------------------------------------------------------------------
 # Polynomials are tuples of coefficients in ascending degree.
@@ -407,14 +504,14 @@ def cos_angle_minpoly(m: int) -> tuple:
     return tuple(acc)
 
 
-def trace_minpoly(t) -> tuple:
+def trace_minpoly(t: Quad) -> tuple:
     """Monic minimal polynomial of t over Q, ascending coefficients."""
     if t.b == 0:
         return (-t.a, Fraction(1))
     return (t.norm(), -t.trace(), Fraction(1))
 
 
-def order_by_minpoly(t, max_order: int = 30) -> int:
+def order_by_minpoly(t: Quad, max_order: int = 30) -> int:
     """PSL2 order n of an elliptic trace t, searched over n <= max_order.
 
     t = 2*cos(j*pi/n) with gcd(j, n) = 1 is a root of the minimal
@@ -434,19 +531,19 @@ def order_by_minpoly(t, max_order: int = 30) -> int:
 # Integrality and ellipticity by the integral basis and exact signs
 # ---------------------------------------------------------------------------
 
-def in_integral_basis(t) -> bool:
+def in_integral_basis(t: Quad) -> bool:
     """t = a + b*sqrt(d) is u + v*omega with integers u, v."""
-    if t.field.omega_kind is OmegaKind.HALF_ONE_PLUS_SQRT_D:
+    if t.d % 4 == 1:
         # u + v*omega has a = u + v/2, b = v/2: need 2b and a - b integral.
         return (2 * t.b).denominator == 1 and (t.a - t.b).denominator == 1
     return t.a.denominator == 1 and t.b.denominator == 1
 
 
-def elliptic_by_sign(t) -> bool:
+def elliptic_by_sign(t: Quad) -> bool:
     """-2 < sigma_i(t) < 2 for both embeddings, by the exact sign of
-    sigma_i(t) - 2 and sigma_i(t) + 2 (QuadElem.sign: sign analysis and
-    one squaring step)."""
-    two = t.field.element(2)
+    sigma_i(t) - 2 and sigma_i(t) + 2 (Quad.sign: sign analysis and one
+    squaring step)."""
+    two = Quad(2, 0, t.d)
     return all((s - two).sign() < 0 < (s + two).sign() for s in (t, t.conjugate()))
 
 

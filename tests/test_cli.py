@@ -493,7 +493,7 @@ def test_classnum_enumerates_once(capsys, monkeypatch):
         calls.append(D)
         return _inner(D)
 
-    # cli binds the name at import; class_number looks it up in its module.
+    # cli binds the name at import, so both sites are patched.
     monkeypatch.setattr(classnumbers, "reduced_forms", counting)
     monkeypatch.setattr(cli, "reduced_forms", counting)
     payload = run_json(capsys, "classnum", "-23")

@@ -8,10 +8,10 @@ child of ``perfbench`` imports only ``hilbertmod.cli`` and then looks each
 traced module up in ``sys.modules``.
 
 Running a command must not load ``shutil`` (argparse imports it to size
-help text, and it pulls in the compression modules), ``fractions``
-(only a ``QuadElem`` needs it, so only ``field`` and library callers) or
-``json`` (only ``--json`` serializes: ``canonical_json`` imports its writer,
-``hilbertmod._json``, and with it json, on first use).
+help text, and it pulls in the compression modules), ``fractions`` or
+``decimal`` (the trace census holds integers, so not even ``field`` builds
+a ``Fraction``) or ``json`` (only ``--json`` serializes: ``canonical_json``
+imports its writer, ``hilbertmod._json``, and with it json, on first use).
 """
 
 import os
@@ -37,9 +37,12 @@ def test_cli_import_loads_no_heavy_module_and_every_pipeline_module():
     assert [n for n in LOADED if loaded[n] != "True"] == []
 
 
-# Commands that build no QuadElem; run in one process, they load none of these.
+# Plain-text commands; run in one process, they load none of these.  The
+# --json command then loads json and none of the others.
 COMMANDS = (["reps", "5"], ["classnum", "-23"], ["chains", "--poset", "sl", "--m", "6", "--p", "2"],
-            ["ranks", "5", "--q", "5,7,1,0,-1"], ["whitehead", "5", "--mode", "sl", "--q", "1"])
+            ["ranks", "5", "--q", "5,7,1,0,-1"], ["whitehead", "5", "--mode", "sl", "--q", "1"],
+            ["field", "5", "--approx"])
+JSON_COMMAND = ["field", "5", "--json"]
 NOT_LOADED_BY_COMMANDS = ("fractions", "decimal", "shutil", "bz2", "lzma", "zlib", "json")
 FIELD_5 = """\
 field Q(sqrt(5))
@@ -56,19 +59,21 @@ allowed orders: 2, 3, 5
 """
 
 
-def test_commands_load_neither_shutil_nor_fractions_until_field():
+def test_commands_load_neither_shutil_nor_fractions():
     code = (
         "import io, sys\n"
         "from hilbertmod.cli import main\n"
         "real, sys.stdout = sys.stdout, io.StringIO()\n"
         f"codes = [main(argv) for argv in {COMMANDS!r}]\n"
         f"loaded = [n for n in {NOT_LOADED_BY_COMMANDS!r} if n in sys.modules]\n"
+        f"codes.append(main({JSON_COMMAND!r}))\n"
+        f"after_json = [n for n in {NOT_LOADED_BY_COMMANDS!r} if n in sys.modules]\n"
         "sys.stdout = real\n"
-        "print(codes, loaded)\n"
+        "print(codes, loaded, after_json)\n"
         "main(['field', '5'])\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
     summary, _, field = proc.stdout.partition("\n")
-    assert summary == "[0, 0, 0, 0, 0] []"
+    assert summary == "[0, 0, 0, 0, 0, 0, 0] [] ['json']"
     assert field == FIELD_5

@@ -10,7 +10,6 @@ from hilbertmod.cyclicreps import (
     factorize,
     is_prime,
     kp_count,
-    prime_divisors,
     prime_powers,
     q_count,
     r_count,
@@ -23,6 +22,7 @@ from oracles import (
     kp_formula,
     local_galois_subgroup,
     orbit_partition,
+    prime_divisors,
     prime_powers_by_trial_division,
     rational_irred_orbits,
     real_irred_orbits,

@@ -3,7 +3,7 @@
 import pytest
 
 from hilbertmod.abgroups import AbGroupExpr
-from hilbertmod.cyclicreps import prime_divisors, q_count
+from hilbertmod.cyclicreps import q_count
 from hilbertmod.finitek import (
     RankCase,
     rank_H_BM,
@@ -15,6 +15,7 @@ from hilbertmod.finitek import (
 from oracles import (
     complex_type_orbits,
     kp_formula,
+    prime_divisors,
     rational_irred_orbits,
     real_irred_orbits,
     rp_formula,

@@ -1,10 +1,9 @@
-"""Value semantics of the nine record classes: equality, hash, immutability,
+"""Value semantics of the eight record classes: equality, hash, immutability,
 repr and construction-time validation."""
 
 import copy
 import pickle
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -12,21 +11,17 @@ from hilbertmod.abgroups import AbGroupExpr
 from hilbertmod.assembler import ClassCounts, GroupData, Mode
 from hilbertmod.cyclicreps import RepCounts
 from hilbertmod.pchain import CoeffToken, NodeKind, NodeTag, TokenKind
-from hilbertmod.quadfield import FieldSpec, QuadElem, TraceCandidate
+from hilbertmod.quadfield import FieldSpec, TraceCandidate
 
 F5 = FieldSpec(5)
 COUNTS = ClassCounts(((2, 2), (3, 2), (5, 2)))
-HALF = Fraction(1, 2)
 
 # (first instance, an equal instance built afresh, an unequal instance, repr)
 FROZEN = [
     (F5, FieldSpec(5), FieldSpec(2), "FieldSpec(d=5)"),
-    (QuadElem(HALF, HALF, F5), F5.omega(), QuadElem(HALF, -HALF, F5),
-     "QuadElem(a=Fraction(1, 2), b=Fraction(1, 2), field=FieldSpec(d=5))"),
-    (TraceCandidate(QuadElem(0, 0, F5), 2), TraceCandidate(F5.element(0), 2),
-     TraceCandidate(F5.element(1), 3),
-     "TraceCandidate(trace=QuadElem(a=Fraction(0, 1), b=Fraction(0, 1), "
-     "field=FieldSpec(d=5)), psl_order=2)"),
+    (TraceCandidate(0, 0, F5, 2), TraceCandidate(x=0, y=0, field=FieldSpec(5), psl_order=2),
+     TraceCandidate(2, 0, F5, 3),
+     "TraceCandidate(x=0, y=0, field=FieldSpec(d=5), psl_order=2)"),
     (AbGroupExpr(2, (3, 2), (("x", 1), ("x", 1))), AbGroupExpr(2, (2, 3), (("x", 2),)),
      AbGroupExpr(2, (2, 3)),
      "AbGroupExpr(free_rank=2, torsion=(2, 3), symbolic=(('x', 2),))"),
@@ -75,19 +70,15 @@ def test_records_work_as_keys():
     assert tally == {CoeffToken(TokenKind.H_BM, 2): 2, FieldSpec(5): 1}
 
 
-def test_quad_elem_components_become_fractions():
-    x = QuadElem(1, 0.5, F5)
-    assert type(x.a) is Fraction and type(x.b) is Fraction and x.b == HALF
-
-
 @pytest.mark.parametrize("build, message", [
     (lambda: FieldSpec(4), "d must be a square-free integer in [2, 10^12], got 4"),
     (lambda: ClassCounts(((1, 1),)), "maximal finite subgroup orders must be >= 2"),
     (lambda: AbGroupExpr(-1), "free rank must be nonnegative"),
     (lambda: GroupData(F5, ClassCounts(((4, 1),))),
      "orders [4] cannot occur in PSL2 of Q(sqrt(5)); allowed: [2, 3, 5]"),
-    (lambda: TraceCandidate(F5.element(2), 2),
+    (lambda: TraceCandidate(4, 0, F5, 2),
      "trace candidate must have both embeddings in (-2, 2)"),
+    (lambda: TraceCandidate(0, 0, F5, 1), "PSL2 order of an elliptic element is at least 2"),
 ])
 def test_validation_errors_are_unchanged(build, message):
     with pytest.raises(ValueError) as info:
