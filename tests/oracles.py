@@ -4,8 +4,8 @@ Every function here recomputes a quantity through a different route than
 the package implementation: character orbits instead of closed forms,
 orbit walks, divisor sums and Burnside's fixed-point mean instead of
 orders merged one prime power at a time, form reduction, an a-outer scan and
-trial division of each (b^2 - D)/4 instead of the sieve over b that
-factors them all for the reduced-form enumeration, a dense
+trial division of each (b^2 - D)/4 instead of the reduced-form
+enumeration's roots of (b^2 - D)/4 mod each leading coefficient a, a dense
 Warshall closure instead of up-sets grown by search, subset scans
 instead of chain extension along the order relation (and a first page
 read off those chains instead of the nodes and their up-sets),
@@ -317,9 +317,9 @@ def reduced_forms_scan(D: int) -> list[tuple[int, int, int]]:
 
 
 def reduced_forms_trial_division(D: int) -> list[tuple[int, int, int]]:
-    """Reduced primitive forms of discriminant D, sorted, grown from b as in
-    the package, but trying every a in [max(b, 1), sqrt(n)] as a divisor of
-    each n = (b^2 - D)/4."""
+    """Reduced primitive forms of discriminant D, sorted, grown from b by
+    trying every a in [max(b, 1), sqrt(n)] as a divisor of each
+    n = (b^2 - D)/4."""
     forms = []
     for b in range(D % 2, isqrt(-D // 3) + 1, 2):
         n = (b * b - D) // 4

@@ -4,12 +4,8 @@ import random
 
 import pytest
 
-from hilbertmod.classnumbers import (
-    _primes_up_to,
-    _sqrt_mod,
-    is_discriminant,
-    reduced_forms,
-)
+from hilbertmod.classnumbers import _sqrt_mod, is_discriminant, reduced_forms
+from hilbertmod.cyclicreps import _primes_up_to
 
 from oracles import (
     class_number_by_reduction,
@@ -69,6 +65,11 @@ def test_against_a_outer_scan():
     for D in [*range(-4000, -2), -100003, -400012, -100075]:
         if is_discriminant(D):
             assert reduced_forms(D) == reduced_forms_scan(D), D
+    # Non-fundamental D heavy in one prime, so that the roots of n mod p^e
+    # are lifted from roots mod p | D, which lift to none or to p roots each.
+    for D in (-2**20, -4 * 3**10, -3 * 7**6, -4 * 5**8):
+        assert is_discriminant(D), D
+        assert reduced_forms(D) == reduced_forms_scan(D), D
 
 
 def test_sieve_against_trial_division():
