@@ -383,8 +383,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "for Hilbert modular groups over real quadratic fields.",
         formatter_class=formatter,
     )
+    # A prog of its own spares add_subparsers formatting the top-level usage
+    # to name the sub-parsers; with no positional argument before it, that
+    # usage reads "hilbertmod" too.
     sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=partial(_Parser, formatter_class=formatter),
+        prog="hilbertmod", dest="command", required=True,
+        parser_class=partial(_Parser, formatter_class=formatter),
         metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
     for name in _COMMANDS if command is None else [command]:
         help_text, declare, _, _ = _COMMANDS[name]

@@ -76,15 +76,23 @@ def _primes_up_to(n: int) -> list[int]:
 _SMALL_PRIMES = _primes_up_to(isqrt(MAX_ORDER))
 
 
+def _trial_divisors():
+    """The trial divisors, ascending: the small primes, then every odd number
+    past them.  Each prime comes before its multiples, so a divisor found
+    after the smaller ones are divided out is prime."""
+    return chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2))
+
+
 def prime_powers(n: int):
     """Yield (p, a) for each prime power p^a exactly dividing n, ascending p.
 
-    Trial division by the small primes, then by the odd numbers past them
-    (only the square-free test of d up to 10^12 gets that far), lazily: a
-    caller that stops early (a square-free test meeting its first square)
-    skips the rest of the search.  Every n < 2 yields nothing.
+    Trial division by ``_trial_divisors()``, lazily: a caller that stops
+    early (a primality test meeting a smaller factor) skips the rest of the
+    search.  No group order up to 10^7 needs a divisor past the small
+    primes; ``quadfield.is_square_free`` walks the same divisors up to the
+    cube root of d.  Every n < 2 yields nothing.
     """
-    for f in chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2)):
+    for f in _trial_divisors():
         if f * f > n:
             break
         if n % f == 0:

@@ -11,7 +11,9 @@ traces finite and tiny, and the census runs in plain integer arithmetic:
   integers, i.e. when 4 divides x^2 - y^2*d (x = y mod 2 when d = 1 mod 4,
   x and y both even otherwise);
 * both embeddings (x +- y*sqrt(d))/2 lie in (-2, 2) exactly when
-  |x| < 4 and y^2*d < (4 - |x|)^2, so |y| <= 2 since d >= 2.
+  |x| < 4 and y^2*d < (4 - |x|)^2.  Then y^2*d < 16, i.e.
+  |y| <= isqrt(15 // d): 2 for d in {2, 3}, 1 for d up to 15 and 0 from
+  d = 16 on, so the scan tries 35, 21 or 7 pairs (x, y).
 
 The trace t of an elliptic element of finite PSL2 order n equals
 2*cos(j*pi/n) for some j coprime to n.  By Kronecker's theorem every
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .cyclicreps import prime_powers
+from .cyclicreps import _trial_divisors
 
 __all__ = [
     "FieldSpec",
@@ -50,13 +52,29 @@ __all__ = [
 ]
 
 
-# Largest d accepted; it bounds the trial-division square-free test.
+# Largest d accepted; its cube root, 10^4, bounds the trial division of the
+# square-free test.
 MAX_D = 10**12
 
 
 def is_square_free(n: int) -> bool:
-    """True if no square of a prime divides n (trial factorization)."""
-    return n >= 1 and all(a == 1 for _, a in prime_powers(n))
+    """True if n >= 1 and no square of a prime divides n.
+
+    Trial division runs only while f^3 <= n.  The cofactor left then has no
+    prime factor below its cube root, so it is 1, a prime, a product of two
+    primes or the square of one, and it is square-free unless it is a
+    square greater than 1.
+    """
+    if n < 1:
+        return False
+    for f in _trial_divisors():
+        if f * f * f > n:
+            break
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return False
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 class FieldSpec(Record):
@@ -110,9 +128,14 @@ def _order(x: int, y: int, d: int) -> int:
 
 
 def _elliptic_scan(d: int):
-    """Yield (x, y, PSL2 order) of each elliptic integral trace; |y| <= 2 as d >= 2."""
+    """Yield (x, y, PSL2 order) of each elliptic integral trace, in (x, y) order.
+
+    Ellipticity needs y^2*d < (4 - |x|)^2 <= 16, so only the y with
+    |y| <= isqrt(15 // d) are tried: 7 pairs for every d >= 16.
+    """
+    ymax = math.isqrt(15 // d)
     for x in range(-3, 4):
-        for y in range(-2, 3):
+        for y in range(-ymax, ymax + 1):
             if _is_integral(x, y, d) and _is_elliptic(x, y, d):
                 yield x, y, _order(x, y, d)
 

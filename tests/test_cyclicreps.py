@@ -151,14 +151,19 @@ def test_rep_counts_reads_the_separate_counts_off_one_factorization():
 def test_prime_powers_against_trial_division():
     # The small-prime table ends at 3137, the last prime <= sqrt(10^7); past it
     # the search goes on with odd f, so squares and products of the next
-    # primes 3163 and 3167, and d up to 10^12, still factor completely.
+    # primes 3163 and 3167, and d up to 10^12, still factor completely.  The
+    # square-free test stops at the cube root and judges the cofactor left,
+    # a prime square (10007^2, 999983^2, 2 * 999983^2) or a product of two
+    # primes (3163 * 3167) among them.
     rng = random.Random(3162)
     seeded = [rng.randrange(1, 10**12 + 1) for _ in range(20)]
-    edges = [3163**2, 3167**2, 3163 * 3167, 3137**2, 2 * 3163**2, 999999999989, 10**12]
+    edges = [3163**2, 3167**2, 3163 * 3167, 3137**2, 2 * 3163**2, 999999999989, 10**12,
+             10007**2, 999983**2, 2 * 999983**2]
     for n in [*range(10**5), *seeded, *edges]:
         expected = prime_powers_by_trial_division(n)
         assert list(prime_powers(n)) == expected, n
         assert is_prime(n) == (expected == [(n, 1)]), n
+        assert quadfield.is_square_free(n) == (n >= 1 and all(a == 1 for _, a in expected)), n
 
 
 class _CountingInt(int):
@@ -176,8 +181,17 @@ class _CountingInt(int):
 
 def test_square_free_test_stops_at_the_first_square():
     # 4 * 999999999989: the square 2^2 comes first, and the trial division
-    # that the large prime would need (about 5 * 10^5 remainders) never runs.
+    # up to the large prime's cube root never runs.
     _CountingInt.remainders = 0
     assert not quadfield.is_square_free(_CountingInt(4 * 999999999989))
     assert _CountingInt.remainders < 10
     assert quadfield.is_square_free(2 * 999999999989)
+
+
+def test_square_free_test_divides_only_up_to_the_cube_root():
+    # The prime 999999999989, the MAX_D ledger's d: 446 small
+    # primes and the odd f from 3163 to 9999, about 3,900 remainders, where
+    # trial division up to its square root takes about 5 * 10^5.
+    _CountingInt.remainders = 0
+    assert quadfield.is_square_free(_CountingInt(999999999989))
+    assert _CountingInt.remainders <= 4000

@@ -311,7 +311,7 @@ def test_census_golden_d2_d3_d7():
 
 def test_census_complete_against_wide_box_scan():
     # The production loop bounds must not miss anything a wide scan finds.
-    for d in SQUARE_FREE_D + [10007, 999983]:
+    for d in SQUARE_FREE_D + [10007, 999983, 999999999989]:
         brute = set()
         for u in range(-10, 11):
             for v in range(-10, 11):
