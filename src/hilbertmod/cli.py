@@ -43,12 +43,22 @@ Every other call registers all six, which ``-h``, the invalid-choice error
 and the missing-command error list.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
-4 missing abelianization, 1 internal error (its traceback follows on stderr).
+4 missing abelianization, 141 stdout closed by its reader (a broken pipe),
+1 internal error (its traceback follows on stderr).
+
+``python -m hilbertmod.cli`` and the ``hilbertmod`` script enter through
+``run``: once ``main`` has answered, the ``atexit`` callbacks run, stdout
+and stderr are flushed and ``os._exit`` ends the process, skipping the
+interpreter's teardown, which only frees objects.  It keeps the normal
+exit while a trace or profile hook, a ``sys.monitoring`` tool or a
+non-daemon thread is active, or when a flush fails other than with a
+broken pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from functools import partial
@@ -73,7 +83,7 @@ from .finitek import rank_case
 from .pchain import enumerate_pchains, psl_poset, sl_poset
 from .quadfield import FieldSpec, elliptic_trace_candidates, allowed_orders
 
-__all__ = ["main", "canonical_json"]
+__all__ = ["main", "run", "canonical_json"]
 
 SCHEMA_VERSION = "1"
 MAX_DEGREES = 10**4  # degrees in one ``ranks --q`` list
@@ -83,6 +93,7 @@ EXIT_INTERNAL = 1
 EXIT_INVALID_INPUT = 2
 EXIT_MISSING_CLASS_DATA = 3
 EXIT_MISSING_ABELIANIZATION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 _EXIT_CODES = {MissingClassDataError: EXIT_MISSING_CLASS_DATA,
                MissingAbelianizationError: EXIT_MISSING_ABELIANIZATION}  # other errors: 2
 
@@ -404,9 +415,9 @@ def main(argv=None) -> int:
     # is built; any other argv may end in a message that lists all six.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
-    _, _, run, render = _COMMANDS[args.command]
+    _, _, execute, render = _COMMANDS[args.command]
     try:
-        result, provenance = run(args)
+        result, provenance = execute(args)
         if args.json:
             inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
             print(canonical_json({
@@ -419,6 +430,8 @@ def main(argv=None) -> int:
         else:
             print(render(args, result))
         return EXIT_OK
+    except BrokenPipeError:  # stdout's reader has gone, and with it the answer's use
+        return EXIT_BROKEN_PIPE
     except (MissingClassDataError, MissingAbelianizationError, ValueError) as exc:
         print(f"error: {clip(str(exc))}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_INVALID_INPUT)
@@ -429,5 +442,46 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def _needs_normal_exit() -> bool:
+    """Whether a tracer, profiler, ``sys.monitoring`` tool (3.12+) or
+    non-daemon thread may still act before the interpreter's own exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    threading = sys.modules.get("threading")  # no thread runs unless it is loaded
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None
+                and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+            or (threading is not None
+                and any(not t.daemon for t in threading.enumerate()
+                        if t is not threading.main_thread())))
+
+
+def run() -> None:
+    """Process entry: ``main`` on ``sys.argv``, then an exit without teardown.
+
+    The exit status is ``main``'s, or the code of argparse's ``SystemExit``.
+    The ``atexit`` callbacks run and stdout and stderr are flushed, and then
+    ``os._exit`` ends the process without freeing every object first.  The
+    normal ``sys.exit`` is taken instead when ``_needs_normal_exit`` holds or
+    a flush fails other than with a broken pipe.  A broken pipe, at
+    ``main``'s print or at the flush, exits 141.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = 0 if exc.code is None else exc.code
+    if _needs_normal_exit():
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                status = EXIT_BROKEN_PIPE
+            except (OSError, ValueError):  # e.g. a full disk: the normal exit reports it
+                sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

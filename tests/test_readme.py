@@ -23,8 +23,18 @@ def _block(heading: str, lang: str) -> list[str]:
     return match.group(1).splitlines()
 
 
+def _commands() -> list[str]:
+    """The ``hilbertmod ...`` lines of the README's command block."""
+    return [ln for ln in _block("## Command line", "sh") if ln.startswith("hilbertmod ")]
+
+
+def readme_argvs() -> list[list[str]]:
+    """The argv after ``hilbertmod`` of each README command, as a shell splits it."""
+    return [shlex.split(line, comments=True)[1:] for line in _commands()]
+
+
 def test_readme_commands_exit_zero(capsys):
-    lines = [ln for ln in _block("## Command line", "sh") if ln.startswith("hilbertmod ")]
+    lines = _commands()
     assert len(lines) == 10
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
@@ -35,19 +45,40 @@ def test_readme_commands_exit_zero(capsys):
             assert out.rstrip().endswith(line.split("# => ", 1)[1].strip()), (line, out)
 
 
-def test_main_module_matches_in_process_main(capsys):
-    """``python -S -m hilbertmod.cli`` prints what ``cli.main`` prints, exit code too."""
-    lines = [ln for ln in _block("## Command line", "sh") if ln.startswith("hilbertmod ")]
-    argvs = [shlex.split(line, comments=True)[1:] for line in lines]
+def _main_status(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse's -h and usage errors
+        return exc.code
+
+
+def test_main_module_matches_in_process_main(capsys, monkeypatch):
+    """``python -S -m hilbertmod.cli`` prints what ``cli.main`` prints, exit code too.
+
+    Beyond the README commands: exits 2, 3 and 4, an argparse error, ``-h``
+    (at the width COLUMNS sets), and stdout closed at start (``>&-``),
+    where ``print`` writes nowhere and the status is ``main``'s.
+    """
+    argvs = readme_argvs()
     argvs.append(argvs[-1] + ["--json"])
+    argvs += [["field", "4"], ["ranks", "7", "--q", "1"],
+              ["whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1"],
+              ["bogus"], ["-h"]]
+    monkeypatch.setenv("COLUMNS", "80")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-S", "-m", "hilbertmod.cli"]
     for argv in argvs:
-        code = cli.main(argv)
+        code = _main_status(argv)
         captured = capsys.readouterr()
-        proc = subprocess.run([sys.executable, "-S", "-m", "hilbertmod.cli", *argv],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=env)
         expected = (code, captured.out, captured.err)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+    for argv in (["field", "5"], ["field", "4"]):
+        with contextlib.redirect_stdout(None):
+            code = _main_status(argv)
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command, *argv],
+                              stderr=subprocess.PIPE, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (code, capsys.readouterr().err), argv
 
 
 def test_readme_library_example_prints_its_comments():

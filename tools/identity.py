@@ -43,7 +43,6 @@ import io
 import json
 import os
 import random
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -69,9 +68,7 @@ def corpus() -> list:
     argvs = fuzz._at_the_caps() + [fuzz._argv(rng) for _ in range(fuzz.CALLS)]
     argvs += fuzz._other_at_the_caps()
     argvs += [fuzz._other_argv(other_rng) for _ in range(fuzz.OTHER_CALLS)]
-    argvs += [shlex.split(line, comments=True)[1:]
-              for line in test_readme._block("## Command line", "sh")
-              if line.startswith("hilbertmod ")]
+    argvs += test_readme.readme_argvs()
     argvs += [[*level, flag] for level in [[], *([c] for c in COMMANDS)]
               for flag in ("-h", "--help")]
     argvs += EDGE_ARGV
@@ -136,20 +133,28 @@ def digests(items, results) -> dict:
     return {name: (count, h.hexdigest()) for name, (count, h) in hashes.items()}
 
 
-def against(rev: str, items, results) -> int:
-    """Run the corpus on REV's src/ in a child process; list every item that differs."""
+@contextlib.contextmanager
+def worktree(rev: str):
+    """REV checked out with ``git worktree`` in a temporary directory, removed afterwards."""
     with tempfile.TemporaryDirectory() as tmp:
-        tree, corpus_file = Path(tmp) / "rev", Path(tmp) / "corpus.json"
-        corpus_file.write_text(json.dumps(items))
+        tree = Path(tmp) / "rev"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(tree), rev], check=True)
         try:
-            child = subprocess.run(
-                [sys.executable, __file__, "--replay", str(corpus_file), "--src", str(tree / "src")],
-                capture_output=True, text=True)
+            yield tree
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=True)
+
+
+def against(rev: str, items, results) -> int:
+    """Run the corpus on REV's src/ in a child process; list every item that differs."""
+    with worktree(rev) as tree:
+        corpus_file = tree.parent / "corpus.json"
+        corpus_file.write_text(json.dumps(items))
+        child = subprocess.run(
+            [sys.executable, __file__, "--replay", str(corpus_file), "--src", str(tree / "src")],
+            capture_output=True, text=True)
     if child.returncode != 0:
         print(f"the run on {rev} failed:\n{child.stderr}", file=sys.stderr)
         return 2
