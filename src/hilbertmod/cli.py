@@ -32,9 +32,11 @@ free rank at most 10^100 in ``--ab``.  Past a cap the command exits 2 and
 the message names the limit.  Every ``error:`` message is cut at 250 characters,
 or fewer where a character takes more than one byte: at 250 bytes of UTF-8,
 never inside a character.  Every argv a shell can pass (each argument under
-Linux's 128 KiB) answers within 5 s; in-process ``main(argv)`` past that is
-bounded by the caps, not promised 5 s: ``ranks 5 --q=`` with 10^4 degrees of
-4300 digits takes 5.8 s (Python 3.11, 2 vCPUs).
+Linux's 128 KiB) answers within 5 s: the test suite runs the worst known
+argv of each cap, the ledger in ``tests/test_caps.py``, as a cold process
+and checks it.  In-process ``main(argv)`` past that is bounded by the caps,
+not promised 5 s: ``ranks 5 --q=`` with 10^4 degrees of 4300 digits takes
+5.8 s (Python 3.11, 2 vCPUs).
 
 A call whose first argument names a subcommand builds the top level and
 that sub-parser only: argparse hands it the rest of the command line, and
@@ -43,8 +45,11 @@ Every other call registers all six, which ``-h``, the invalid-choice error
 and the missing-command error list.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
-4 missing abelianization, 141 stdout closed by its reader (a broken pipe),
-1 internal error (its traceback follows on stderr).
+4 missing abelianization, 141 stdout closed by its reader (a broken pipe,
+met by the answer or by ``-h``), 1 internal error (its traceback follows
+on stderr).  A stdout closed at start gets nothing and the status stays;
+a closed stderr loses the message, which never goes to stdout instead,
+and the status stays.
 
 ``python -m hilbertmod.cli`` and the ``hilbertmod`` script enter through
 ``run``: once ``main`` has answered, the ``atexit`` callbacks run, stdout
@@ -319,7 +324,23 @@ def _help_width() -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's messages quote whole values
+        if sys.stderr is None:  # closed: argparse would print the usage on stdout
+            self.exit(EXIT_INVALID_INPUT)
         super().error(clip(message))
+
+    def _print_message(self, message, file=None):
+        """argparse's, but a stream closed at start (None) or a failed write
+        drops the message, on 3.10 too; a broken pipe on stdout exits 141.
+
+        argparse always names the stream, so None is one that was closed,
+        where argparse would write to stderr instead.
+        """
+        if message and file is not None:
+            try:
+                file.write(message)
+            except OSError as exc:
+                if isinstance(exc, BrokenPipeError) and file is sys.stdout:
+                    self.exit(EXIT_BROKEN_PIPE)
 
 
 def _field_arguments(p) -> None:
@@ -433,13 +454,25 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader has gone, and with it the answer's use
         return EXIT_BROKEN_PIPE
     except (MissingClassDataError, MissingAbelianizationError, ValueError) as exc:
-        print(f"error: {clip(str(exc))}", file=sys.stderr)
+        _print_error(f"error: {clip(str(exc))}\n")
         return _EXIT_CODES.get(type(exc), EXIT_INVALID_INPUT)
     except Exception as exc:
         import traceback  # on first use: only an internal error prints one
-        print(f"internal error: {exc}", file=sys.stderr)
-        traceback.print_exc()
+        _print_error(f"internal error: {exc}\n{traceback.format_exc()}")
         return EXIT_INTERNAL
+
+
+def _print_error(text: str) -> None:
+    """Write ``text`` to stderr; a closed stderr loses it, not the exit status.
+
+    Started with fd 2 closed, the interpreter sets ``sys.stderr`` to None,
+    and ``print(file=None)`` would write to stdout instead.
+    """
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
 
 
 def _needs_normal_exit() -> bool:
@@ -462,8 +495,8 @@ def run() -> None:
     The ``atexit`` callbacks run and stdout and stderr are flushed, and then
     ``os._exit`` ends the process without freeing every object first.  The
     normal ``sys.exit`` is taken instead when ``_needs_normal_exit`` holds or
-    a flush fails other than with a broken pipe.  A broken pipe, at
-    ``main``'s print or at the flush, exits 141.
+    a flush fails other than with a broken pipe.  A broken pipe on stdout,
+    at ``main``'s print, at argparse's help or at the flush, exits 141.
     """
     try:
         status = main()

@@ -194,6 +194,45 @@ def orbit_partition(n: int, multipliers) -> list[set]:
 
 
 # ---------------------------------------------------------------------------
+# Ranks of K_q(Z[Z_n]) from the signatures of Q[Z_n]'s components
+# ---------------------------------------------------------------------------
+
+@cache
+def cyclotomic_signatures(n: int) -> tuple[tuple[int, int], ...]:
+    """(r1, r2) of Q(zeta_e) for each e | n; Q[Z_n] is their product (Wedderburn).
+
+    Q(zeta_1) = Q(zeta_2) = Q is real; every other Q(zeta_e) is totally
+    complex of degree phi(e).
+    """
+    return tuple((1, 0) if e <= 2 else (0, euler_phi(e) // 2) for e in divisors(n))
+
+
+def rank_K_by_signatures(n: int, q: int) -> int:
+    """rank K_q(Z[Z_n]) for q != -1, from the number theory the rank table
+    rests on; it shares no count with cyclicreps or the orbit oracles.
+
+    q >= 2 (Borel): rank K_q of a ring of integers of signature (r1, r2) is
+    r1 + r2 at q = 1 mod 4, r2 at q = 3 mod 4 and 0 at even q, summed over
+    the components, since K_q(Z[G]) and K_q of a maximal order agree
+    rationally.  q = 1 (Dirichlet; Bass-Milnor-Serre): the sum of the unit
+    ranks r1 + r2 - 1.  q = 0 (Swan): 1, the reduced K_0 being finite.
+    q <= -2 (Carter): 0.  At n = 1 this is rank K_q(Z), the rank of
+    H_q(BM; K(Z)) for M finite.
+    """
+    if q == -1:
+        raise ValueError("Carter's K_{-1} needs the local counts, not only signatures")
+    if q == 0:
+        return 1
+    if q <= -2:
+        return 0
+    signatures = cyclotomic_signatures(n)
+    if q == 1:
+        return sum(r1 + r2 - 1 for r1, r2 in signatures)
+    row = q % 4
+    return sum(r1 + r2 if row == 1 else r2 if row == 3 else 0 for r1, r2 in signatures)
+
+
+# ---------------------------------------------------------------------------
 # Order closure and chains by brute force
 # ---------------------------------------------------------------------------
 

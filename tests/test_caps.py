@@ -2,11 +2,18 @@
 
 A cap changed in code but not in the docs, or a new cap the docs leave out,
 fails here instead of drifting.  The ledger gives each cap on time its
-worst known argv that a shell can pass, and the test that times it.
+worst known argv that a shell can pass.  Each runs as a cold process, as a
+shell would start it, and must exit 0 within 5 s with nothing on stderr;
+two of them must also print known values: the q = -1 row of S at 10^4
+degrees, and the allowed orders of the largest prime d.
 """
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,7 +21,6 @@ import pytest
 
 from hilbertmod import cli
 
-from test_cli_fuzz import _other_at_the_caps
 from test_many_divisors import many_divisor_orders, many_divisor_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +85,11 @@ def test_cli_docstring_and_readme_name_every_cap():
 # is the --classes spec of tests/test_many_divisors.py: 10^4 orders n <= 10^7
 # with the most (divisor, prime) pairs for the F_p coset counts.
 
+def _field_at_the_largest_prime():
+    # the prime 999999999989, the d whose square-free test divides longest
+    return ["field", "999999999989", "--approx", "--json"]
+
+
 def _s_ranks_at_10_to_4_degrees():
     # S's q = -1 row dominates, as in ``ranks --classes S --q=-1`` and
     # ``whitehead --classes S --q -1``, which take about as long (1.3-1.7 s)
@@ -115,43 +126,54 @@ def _classnum_near_the_cap():
     return ["classnum", "-99996959", "--json"]
 
 
-TIMED_HERE = "tests/test_caps.py::test_ledger_argv_answers_within_5_s"
+def _chains_at_the_class_cap():
+    return ["chains", "--poset", "sl", "--m", "10000", "--p", "1", "--json"]
 
-# name -> (worst known argv, the test that times it in process under 5 s).
-# MAX_MESSAGE bounds the bytes of a message, not time, and has no entry.
+
+# cap name -> its worst known argv.  MAX_MESSAGE bounds the bytes of a
+# message, not time, and has no entry.
 LEDGER = {
-    "MAX_D": (lambda: next(argv for argv in _other_at_the_caps() if argv[0] == "field"),
-              "tests/test_cli_fuzz.py::test_fuzzed_field_reps_classnum_chains_argv"),
-    "MAX_ORDER": (_s_ranks_at_10_to_4_degrees, TIMED_HERE),
-    "MAX_CLASS_ENTRIES": (_s_ranks_at_10_to_4_degrees, TIMED_HERE),
-    "MAX_CLASS_COUNT": (_s_prefix_at_the_count_cap, TIMED_HERE),
-    "MAX_DEGREES": (_s_ranks_at_10_to_4_degrees, TIMED_HERE),
-    "MAX_DIGITS": (_s_ranks_at_4300_digit_degrees, TIMED_HERE),
-    "MAX_ABS_DISCRIMINANT": (_classnum_near_the_cap, TIMED_HERE),
-    "MAX_CLASSES": (lambda: ["chains", "--poset", "sl", "--m", "10000", "--p", "1", "--json"],
-                    "tests/test_cli.py::test_chains_at_the_class_cap"),
-    "MAX_TORSION_SUMMANDS": (_s_whitehead_sl_with_a_long_ab, TIMED_HERE),
-    "MAX_FREE_RANK": (_s_whitehead_sl_with_a_long_ab, TIMED_HERE),
+    "MAX_D": _field_at_the_largest_prime,
+    "MAX_ORDER": _s_ranks_at_10_to_4_degrees,
+    "MAX_CLASS_ENTRIES": _s_ranks_at_10_to_4_degrees,
+    "MAX_CLASS_COUNT": _s_prefix_at_the_count_cap,
+    "MAX_DEGREES": _s_ranks_at_10_to_4_degrees,
+    "MAX_DIGITS": _s_ranks_at_4300_digit_degrees,
+    "MAX_ABS_DISCRIMINANT": _classnum_near_the_cap,
+    "MAX_CLASSES": _chains_at_the_class_cap,
+    "MAX_TORSION_SUMMANDS": _s_whitehead_sl_with_a_long_ab,
+    "MAX_FREE_RANK": _s_whitehead_sl_with_a_long_ab,
+}
+
+# argv -> (what to read from its JSON result, the value it must have)
+EXPECTED = {
+    _s_ranks_at_10_to_4_degrees: (
+        lambda result: next(row["value"] for row in result["rows"] if row["q"] == -1), 169532890),
+    _field_at_the_largest_prime: (lambda result: result["allowed_orders"], [2, 3]),
 }
 
 
 def test_the_ledger_covers_every_cap_on_time():
     # CAPS lists every MAX_* constant in src/ (test_every_cap_constant_is_listed)
     assert set(LEDGER) == set(CAPS) - {"MAX_MESSAGE"}
-    for argv, timer in LEDGER.values():
-        path, name = timer.split("::")
-        assert f"\ndef {name}(" in (ROOT / path).read_text(), timer
+    for argv in set(LEDGER.values()):
         assert max(len(arg.encode()) for arg in argv()) < 128 * 1024, argv.__name__
 
 
-@pytest.mark.parametrize("argv", sorted({argv for argv, timer in LEDGER.values()
-                                         if timer == TIMED_HERE}, key=lambda f: f.__name__),
+@pytest.mark.parametrize("make_argv", sorted(set(LEDGER.values()), key=lambda f: f.__name__),
                          ids=lambda f: f.__name__.strip("_"))
-def test_ledger_argv_answers_within_5_s(capsys, argv):
-    argv = argv()
+def test_ledger_argv_answers_within_5_s(make_argv):
+    """The argv as a shell would start it: a fresh ``python -S -m hilbertmod.cli``."""
+    argv = make_argv()
     start = time.monotonic()
-    code = cli.main(argv)
+    proc = subprocess.run([sys.executable, "-S", "-m", "hilbertmod.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     elapsed = time.monotonic() - start
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (cli.EXIT_OK, ""), captured.err[:300]
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[:300]
     assert elapsed < 5.0, elapsed
+    payload = json.loads(proc.stdout)
+    assert payload["command"] == argv[0]
+    if make_argv in EXPECTED:
+        read, value = EXPECTED[make_argv]
+        assert read(payload["result"]) == value

@@ -3,6 +3,7 @@
 import pytest
 
 from hilbertmod.abgroups import AbGroupExpr
+from hilbertmod.assembler import ClassCounts, GroupData, rank_diff, rank_diff_from_case_table
 from hilbertmod.cyclicreps import q_count
 from hilbertmod.finitek import (
     RankCase,
@@ -16,6 +17,7 @@ from oracles import (
     complex_type_orbits,
     kp_formula,
     prime_divisors,
+    rank_K_by_signatures,
     rational_irred_orbits,
     real_irred_orbits,
     rp_formula,
@@ -136,6 +138,24 @@ def test_rank_tables_match_the_docstring_table_row_by_row():
                 assert rank_case(q) is case, q
                 assert rank_K_cyclic(n, q) == rows[case], (n, q)
                 assert rank_H_BM(n, q) == h_rank, (n, q)
+
+
+def test_every_route_matches_the_ranks_derived_from_signatures():
+    # the rank table is transcribed; this derives it (Borel, Dirichlet, Swan,
+    # Carter) from the signatures of the Wedderburn components, H at n = 1.
+    # q = -1 needs the local counts, which the orbit oracles check.
+    degrees = [q for q in range(-6, 42) if q != -1]
+    homology = {q: rank_K_by_signatures(1, q) for q in degrees}
+    for n in range(1, 2001):
+        for q in degrees:
+            k = rank_K_by_signatures(n, q)
+            assert (rank_K_cyclic(n, q), rank_H_BM(n, q)) == (k, homology[q]), (n, q)
+        if n == 1:
+            continue  # a class of maximal finite subgroups has order 2 or more
+        g = GroupData(source="generic", class_counts=ClassCounts(((n, 1),)))
+        for q in degrees:
+            expected = rank_K_by_signatures(n, q) - homology[q]
+            assert rank_diff(g, q) == rank_diff_from_case_table(g, q) == expected, (n, q)
 
 
 @pytest.mark.parametrize("n", [0, 10**7 + 1])

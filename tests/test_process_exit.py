@@ -1,10 +1,11 @@
 """How a CLI process ends: ``cli.run``, the entry of ``python -m hilbertmod.cli``.
 
 ``run`` flushes the answer and ends the process with ``os._exit``, so these
-tests start real processes.  A closed stdout exits 141 quietly in either
-buffering mode; an ``atexit`` hook still runs; a profiler or a running
-thread keeps the interpreter's normal exit, and without them no teardown
-runs at all.
+tests start real processes.  A closed stdout pipe exits 141 quietly in
+either buffering mode, ``-h`` included; a closed stderr keeps the exit
+status and puts nothing on stdout; an ``atexit`` hook still runs; a
+profiler or a running thread keeps the interpreter's normal exit, and
+without them no teardown runs at all.
 """
 
 import os
@@ -30,10 +31,18 @@ def _as_main(prelude: str) -> str:
             "runpy.run_module('hilbertmod.cli', run_name='__main__')\n")
 
 
+def _in_shell(redirection: str, argv):
+    """``python -S -m hilbertmod.cli argv`` started by sh with ``redirection``."""
+    return subprocess.run(["sh", "-c", f'"$@" {redirection}', "sh", sys.executable, "-S",
+                           "-m", "hilbertmod.cli", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("argv", [["field", "5"], ["field", "5", "--json"]])
+@pytest.mark.parametrize("argv", [["field", "5"], ["field", "5", "--json"], ["-h"]])
 def test_closed_stdout_pipe_exits_141_and_prints_nothing(argv, unbuffered):
-    """Buffered, the answer fails at ``run``'s flush; unbuffered, at ``main``'s print."""
+    """Buffered, the answer fails at ``run``'s flush; unbuffered, at ``main``'s
+    print, or for ``-h`` at argparse's write, which would otherwise ignore it."""
     read, write = os.pipe()
     os.close(read)  # every write to the pipe now fails with EPIPE
     try:
@@ -44,6 +53,23 @@ def test_closed_stdout_pipe_exits_141_and_prints_nothing(argv, unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("redirection", ["2>&-", "2</dev/null"])
+@pytest.mark.parametrize("argv, code", [
+    (["field", "4"], 2), (["bogus"], 2), (["ranks", "7", "--q", "1"], 3),
+    (["whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1"], 4)])
+def test_closed_stderr_keeps_the_exit_status_and_stdout_empty(argv, code, redirection):
+    """Closed at start, ``sys.stderr`` is None, where ``print`` and argparse's
+    usage would fall back to stdout; read-only, each write fails (EBADF)."""
+    proc = _in_shell(redirection, argv)
+    assert (proc.returncode, proc.stdout) == (code, "")
+
+
+def test_help_on_a_stdout_closed_at_start_prints_nothing():
+    """``sys.stdout`` is None, where argparse would write the help to stderr."""
+    proc = _in_shell(">&-", ["-h"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_atexit_hook_runs_before_the_process_ends():
