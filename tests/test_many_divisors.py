@@ -9,13 +9,18 @@ argument that a shell can pass; to print it:
     PYTHONPATH=src:tests python -c 'import test_many_divisors as t; print(t.many_divisor_spec())'
 
 The ledger of tests/test_caps.py runs ``ranks --classes`` on this spec at
-10^4 degrees as a cold process, within 5 s, and checks its q = -1 value.
+10^4 degrees as a cold process, within 5 s, and checks its q = -1 value;
+``test_ranks_q_minus_1_on_many_divisors_in_bounded_time`` runs the q = -1
+row alone through ``main`` in process.
 """
 
+import json
 import random
+import time
 from functools import cache
 from math import prod
 
+from hilbertmod.cli import EXIT_OK, main
 from hilbertmod.cyclicreps import rep_counts
 
 from oracles import rp_burnside
@@ -53,6 +58,17 @@ def test_the_spec_is_one_shell_argument():
     orders = many_divisor_orders()
     assert (len(orders), orders[0], orders[-1]) == (10**4, 60060, 9999360)
     assert len(spec) == 99082 < 128 * 1024  # Linux caps each argv string at 128 KiB
+
+
+def test_ranks_q_minus_1_on_many_divisors_in_bounded_time(capsys):
+    spec = many_divisor_spec()
+    start = time.monotonic()
+    code = main(["ranks", "--classes", spec, "--q=-1", "--json"])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert elapsed < 5.0, elapsed
+    assert [row["value"] for row in json.loads(captured.out)["result"]["rows"]] == [169532890]
 
 
 def test_local_counts_against_burnside():
