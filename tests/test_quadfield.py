@@ -83,17 +83,6 @@ def test_omega_is_an_algebraic_integer():
 # Integrality
 # ---------------------------------------------------------------------------
 
-def test_integrality_examples():
-    golden = Quad(Fraction(1, 2), Fraction(1, 2), 5)  # (1+sqrt5)/2
-    assert quadfield._is_integral(*_xy(golden), 5)
-    assert not quadfield._is_integral(*_xy(Quad(Fraction(1, 2), 0, 5)), 5)
-    root2 = Quad(0, 1, 2)
-    assert quadfield._is_integral(*_xy(root2), 2)
-    # cross-check through trace/norm integrality
-    assert root2.trace().denominator == 1
-    assert root2.norm().denominator == 1
-
-
 def test_integrality_matches_trace_norm_criterion():
     # t = (x + y*sqrt(d))/2 is integral iff 2a and a^2 - d b^2 are integers
     # (plus a integral when b = 0)
@@ -160,12 +149,6 @@ def test_census_renders_like_the_exact_element():
 # Ellipticity
 # ---------------------------------------------------------------------------
 
-def test_elliptic_trace_examples():
-    assert quadfield._is_elliptic(1, 1, 5)        # (1+sqrt5)/2
-    assert not quadfield._is_elliptic(6, 0, 5)    # 3
-    assert quadfield._is_elliptic(0, 2, 2)        # sqrt2
-
-
 def test_elliptic_trace_rejects_non_integers():
     # 1/2 lies inside (-2, 2) but is no algebraic integer
     assert quadfield._is_elliptic(1, 0, 5)
@@ -218,17 +201,6 @@ def test_cos_minimal_polynomials_numeric_root():
 # ---------------------------------------------------------------------------
 # Orders from traces
 # ---------------------------------------------------------------------------
-
-def test_order_from_trace_examples():
-    f5 = _orders(5)
-    assert f5[(0, 0)] == 2
-    assert f5[(2, 0)] == 3
-    assert f5[(-2, 0)] == 3
-    assert f5[(1, 1)] == 5
-    assert f5[(-1, 1)] == 5
-    assert _orders(2)[(0, 2)] == 4
-    assert _orders(3)[(0, 2)] == 6
-
 
 def test_order_from_trace_rejects_non_elliptic():
     # 3 = (6 + 0*sqrt(5))/2: the census gives it no order, and no candidate

@@ -36,8 +36,7 @@ def readme_argvs() -> list[list[str]]:
 def test_readme_commands_exit_zero(capsys):
     lines = _commands()
     assert len(lines) == 10
-    for line in lines:
-        argv = shlex.split(line, comments=True)[1:]
+    for line, argv in zip(lines, readme_argvs()):
         code = cli.main(argv)
         out = capsys.readouterr().out
         assert code == 0, line
