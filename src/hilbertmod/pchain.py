@@ -265,28 +265,24 @@ def _maximal_labels(class_counts_or_m) -> list[tuple[str, int | None]]:
     return [(f"G/M{i}", n) for i, n in enumerate(orders, 1)]
 
 
+def _poset(class_counts_or_m, chain: tuple[str, ...]) -> OrbitPoset:
+    """The trivial node, then the central one if given, under every maximal node."""
+    maximal = _maximal_labels(class_counts_or_m)
+    less = [*zip(chain, chain[1:]), *((chain[-1], lab) for lab, _ in maximal)]
+    tags = {v: NodeTag(kind) for v, kind in zip(chain, (NodeKind.TRIVIAL, NodeKind.CENTRAL))}
+    tags.update({lab: NodeTag(NodeKind.MAXIMAL, order) for lab, order in maximal})
+    return OrbitPoset([*chain, *(lab for lab, _ in maximal)], less, tags)
+
+
 def psl_poset(class_counts_or_m) -> OrbitPoset:
     """Orbit poset of the projective group: G/1 below m maximal nodes.
 
     Accepts either :class:`ClassCounts` (nodes tagged with their orders)
     or a bare count m (untagged maximal orders, enough for chain counting).
     """
-    maximal = _maximal_labels(class_counts_or_m)
-    nodes = ["G/1"] + [lab for lab, _ in maximal]
-    less = [("G/1", lab) for lab, _ in maximal]
-    tags = {"G/1": NodeTag(NodeKind.TRIVIAL)}
-    tags.update({lab: NodeTag(NodeKind.MAXIMAL, order) for lab, order in maximal})
-    return OrbitPoset(nodes, less, tags)
+    return _poset(class_counts_or_m, ("G/1",))
 
 
 def sl_poset(class_counts_or_m) -> OrbitPoset:
     """Orbit poset of the non-projective group: G/1 < G/{+-I} < each maximal."""
-    maximal = _maximal_labels(class_counts_or_m)
-    center = "G/{+-I}"
-    nodes = ["G/1", center] + [lab for lab, _ in maximal]
-    less = [("G/1", center)]
-    for lab, _ in maximal:
-        less += [("G/1", lab), (center, lab)]
-    tags = {"G/1": NodeTag(NodeKind.TRIVIAL), center: NodeTag(NodeKind.CENTRAL)}
-    tags.update({lab: NodeTag(NodeKind.MAXIMAL, order) for lab, order in maximal})
-    return OrbitPoset(nodes, less, tags)
+    return _poset(class_counts_or_m, ("G/1", "G/{+-I}"))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 from hilbertmod import cli
 
+from test_cli import _exit_and_output
+
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 
@@ -44,13 +46,6 @@ def test_readme_commands_exit_zero(capsys):
             assert out.rstrip().endswith(line.split("# => ", 1)[1].strip()), (line, out)
 
 
-def _main_status(argv) -> int:
-    try:
-        return cli.main(argv)
-    except SystemExit as exc:  # argparse's -h and usage errors
-        return exc.code
-
-
 def test_main_module_matches_in_process_main(capsys, monkeypatch):
     """``python -S -m hilbertmod.cli`` prints what ``cli.main`` prints, exit code too.
 
@@ -67,17 +62,15 @@ def test_main_module_matches_in_process_main(capsys, monkeypatch):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     command = [sys.executable, "-S", "-m", "hilbertmod.cli"]
     for argv in argvs:
-        code = _main_status(argv)
-        captured = capsys.readouterr()
+        expected = _exit_and_output(capsys, *argv)
         proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=env)
-        expected = (code, captured.out, captured.err)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
     for argv in (["field", "5"], ["field", "4"]):
         with contextlib.redirect_stdout(None):
-            code = _main_status(argv)
+            code, _, err = _exit_and_output(capsys, *argv)
         proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command, *argv],
                               stderr=subprocess.PIPE, text=True, env=env)
-        assert (proc.returncode, proc.stderr) == (code, capsys.readouterr().err), argv
+        assert (proc.returncode, proc.stderr) == (code, err), argv
 
 
 def test_readme_library_example_prints_its_comments():

@@ -9,9 +9,7 @@ The corpus:
   and ``SEED + 1``, with their at-the-caps argv);
 * the README commands;
 * ``-h`` and ``--help`` at the top and under every subcommand, and the edge
-  argv ``[]``, ``bogus``, ``-``, ``-5 ranks``, ``--json``, ``--he ranks``,
-  ``ranks 5 --q 1 extra``, ``ranks``, ``field 5 ranks``,
-  ``ranks -- 5 --q 1`` and ``reps -h extra``;
+  argv of ``tests/test_cli.py`` (``EDGE_ARGV``);
 * the first 300 requests (seed 11) of perfbench's three in-process
   workloads, each argv run as given and with ``--json`` toggled, and their
   library rank routes, recorded as value lists;
@@ -30,8 +28,8 @@ temporary directory, the same corpus runs there with REV's ``src/`` in a
 child process, and the worktree is removed.  Every item whose exit code,
 stdout or stderr differ is listed, and the exit status is 1 if any do.
 
-Stdlib only, and kept out of tier-1: one run takes about 5 s (Python 3.11,
-2 vCPUs).
+Stdlib only, apart from the pytest that ``tests/test_cli.py`` imports, and
+kept out of tier-1: one run takes about 5 s (Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -51,15 +49,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("field", "ranks", "whitehead", "reps", "classnum", "chains")
 WORKLOADS = ("census_sweep", "degree_table", "heavy_inputs")
-EDGE_ARGV = [[], ["bogus"], ["-"], ["-5", "ranks"], ["--json"], ["--he", "ranks"],
-             ["ranks", "5", "--q", "1", "extra"], ["ranks"], ["field", "5", "ranks"],
-             ["ranks", "--", "5", "--q", "1"], ["reps", "-h", "extra"]]
 ROW_DEGREES = [-2, -1, 0, 1, 5, 7]  # one degree per row of the rank table
 
 
 def corpus() -> list:
     """The items ``[kind, payload]``: kind "cli" with an argv, or a library
     route "case_table" or "e1" with its ``[d, classes, qs]``."""
+    import test_cli
     import test_cli_fuzz as fuzz
     import test_readme
     import workloads
@@ -71,7 +67,7 @@ def corpus() -> list:
     argvs += test_readme.readme_argvs()
     argvs += [[*level, flag] for level in [[], *([c] for c in COMMANDS)]
               for flag in ("-h", "--help")]
-    argvs += EDGE_ARGV
+    argvs += test_cli.EDGE_ARGV
     items = [["cli", argv] for argv in argvs]
     for workload in WORKLOADS:
         for _, kind, payload in workloads.take(workload, 11, 300):
