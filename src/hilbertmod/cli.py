@@ -45,19 +45,19 @@ Every other call registers all six, which ``-h``, the invalid-choice error
 and the missing-command error list.
 
 Exit codes: 0 success, 2 invalid input, 3 missing class data,
-4 missing abelianization, 141 stdout closed by its reader (a broken pipe,
-met by the answer or by ``-h``), 1 internal error (its traceback follows
-on stderr).  A stdout closed at start gets nothing and the status stays;
-a closed stderr loses the message, which never goes to stdout instead,
-and the status stays.
+4 missing abelianization, 1 internal error (its traceback follows on
+stderr).  An answer or ``-h`` that stdout fails to take exits 141 for a
+broken pipe (stdout closed by its reader), else 120 with one ``error:``
+line on stderr.  A stream closed at start, or a stderr whose write fails,
+gets nothing and the status stays; a message never goes to stdout instead.
 
 ``python -m hilbertmod.cli`` and the ``hilbertmod`` script enter through
 ``run``: once ``main`` has answered, the ``atexit`` callbacks run, stdout
-and stderr are flushed and ``os._exit`` ends the process, skipping the
-interpreter's teardown, which only frees objects.  It keeps the normal
-exit while a trace or profile hook, a ``sys.monitoring`` tool or a
-non-daemon thread is active, or when a flush fails other than with a
-broken pipe.
+is flushed and ``os._exit`` ends the process, skipping the interpreter's
+teardown, which only frees objects.  The statuses above hold buffered or
+not, with one exception: while a trace or profile hook, a
+``sys.monitoring`` tool or a non-daemon thread is active, ``run`` keeps the
+normal exit, and the interpreter's own final flush decides.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ EXIT_INTERNAL = 1
 EXIT_INVALID_INPUT = 2
 EXIT_MISSING_CLASS_DATA = 3
 EXIT_MISSING_ABELIANIZATION = 4
+EXIT_WRITE_FAILED = 120  # what the interpreter reports for a failed final flush
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 _EXIT_CODES = {MissingClassDataError: EXIT_MISSING_CLASS_DATA,
                MissingAbelianizationError: EXIT_MISSING_ABELIANIZATION}  # other errors: 2
@@ -329,18 +330,13 @@ class _Parser(argparse.ArgumentParser):
         super().error(clip(message))
 
     def _print_message(self, message, file=None):
-        """argparse's, but a stream closed at start (None) or a failed write
-        drops the message, on 3.10 too; a broken pipe on stdout exits 141.
-
-        argparse always names the stream, so None is one that was closed,
-        where argparse would write to stderr instead.
-        """
-        if message and file is not None:
-            try:
-                file.write(message)
-            except OSError as exc:
-                if isinstance(exc, BrokenPipeError) and file is sys.stdout:
-                    self.exit(EXIT_BROKEN_PIPE)
+        """argparse's, but stderr goes through ``_print_error`` and a stdout
+        write error reaches ``run``.  argparse always names the stream, so
+        None is one closed at start, where argparse would write to stderr."""
+        if file is sys.stderr:
+            _print_error(message)
+        elif file is not None:
+            file.write(message)
 
 
 def _field_arguments(p) -> None:
@@ -441,18 +437,15 @@ def main(argv=None) -> int:
         result, provenance = execute(args)
         if args.json:
             inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
-            print(canonical_json({
+            text = canonical_json({
                 "schema_version": SCHEMA_VERSION,
                 "command": args.command,
                 "inputs": inputs,
                 "result": result,
                 "provenance": provenance,
-            }))
+            })
         else:
-            print(render(args, result))
-        return EXIT_OK
-    except BrokenPipeError:  # stdout's reader has gone, and with it the answer's use
-        return EXIT_BROKEN_PIPE
+            text = render(args, result)
     except (MissingClassDataError, MissingAbelianizationError, ValueError) as exc:
         _print_error(f"error: {clip(str(exc))}\n")
         return _EXIT_CODES.get(type(exc), EXIT_INVALID_INPUT)
@@ -460,14 +453,16 @@ def main(argv=None) -> int:
         import traceback  # on first use: only an internal error prints one
         _print_error(f"internal error: {exc}\n{traceback.format_exc()}")
         return EXIT_INTERNAL
+    print(text)  # a write error is stdout's, and ``run`` decides its status
+    return EXIT_OK
 
 
 def _print_error(text: str) -> None:
-    """Write ``text`` to stderr; a closed stderr loses it, not the exit status.
-
-    Started with fd 2 closed, the interpreter sets ``sys.stderr`` to None,
-    and ``print(file=None)`` would write to stdout instead.
-    """
+    """The one stderr writer; a stderr closed at start (None, where
+    ``print`` would write to stdout) or a failed write loses ``text``, not
+    the exit status.  Each ``text`` ends in a newline, which flushes the
+    line-buffered stderr, so ``run`` flushes stdout only, and what a failed
+    write leaves buffered ends with the process."""
     if sys.stderr is not None:
         try:
             sys.stderr.write(text)
@@ -492,27 +487,31 @@ def run() -> None:
     """Process entry: ``main`` on ``sys.argv``, then an exit without teardown.
 
     The exit status is ``main``'s, or the code of argparse's ``SystemExit``.
-    The ``atexit`` callbacks run and stdout and stderr are flushed, and then
-    ``os._exit`` ends the process without freeing every object first.  The
-    normal ``sys.exit`` is taken instead when ``_needs_normal_exit`` holds or
-    a flush fails other than with a broken pipe.  A broken pipe on stdout,
-    at ``main``'s print, at argparse's help or at the flush, exits 141.
+    A stdout write error, at ``main``'s print, argparse's help or the flush
+    here, is the one ``OSError`` that reaches ``run`` (``_print_error`` drops
+    stderr's): a broken pipe exits 141, any other 120 after one ``error:``
+    line.  The ``atexit`` callbacks run, stdout is flushed and ``os._exit``
+    ends the process.  When ``_needs_normal_exit`` holds, ``sys.exit`` is
+    taken instead, and the interpreter's final flush sets its own status.
     """
     try:
-        status = main()
-    except SystemExit as exc:
-        status = 0 if exc.code is None else exc.code
-    if _needs_normal_exit():
+        try:
+            status = main()
+        except SystemExit as exc:
+            status = 0 if exc.code is None else exc.code
+        finally:  # after a failed write too
+            normal_exit = _needs_normal_exit()
+            if not normal_exit:
+                atexit._run_exitfuncs()
+        if not normal_exit and sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone, and with it the answer's use
+        status = EXIT_BROKEN_PIPE
+    except OSError as exc:  # e.g. a full disk, or a stdout opened read-only
+        status = EXIT_WRITE_FAILED
+        _print_error(f"error: cannot write to stdout: {exc}\n")
+    if normal_exit:
         sys.exit(status)
-    atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            try:
-                stream.flush()
-            except BrokenPipeError:
-                status = EXIT_BROKEN_PIPE
-            except (OSError, ValueError):  # e.g. a full disk: the normal exit reports it
-                sys.exit(status)
     os._exit(status)
 
 

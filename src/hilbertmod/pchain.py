@@ -222,13 +222,8 @@ def build_E1(
     return {p: column for p, column in enumerate(columns) if column}
 
 
-def rank_E1_column(
-    page: dict[int, Counter],
-    p: int,
-    q: int,
-    rank_k=finitek.rank_K_cyclic,
-    rank_h=finitek.rank_H_BM,
-) -> int:
+def rank_E1_column(page: dict[int, Counter], p: int, q: int,
+                   rank_k=finitek.rank_K_cyclic) -> int:
     """Numeric rank of column p in degree q.
 
     H_q(BG) contributes a symbolic 0, so column subtractions produce the
@@ -247,9 +242,9 @@ def rank_E1_column(
         if kind is _K_GROUP_RING:
             total += mult * rank_k(order, q)
         elif kind is _H_BM:
-            total += mult * rank_h(order, q)
+            total += mult * finitek.rank_H_BM(order, q)
         else:
-            total += mult * (rank_k(order, q) - rank_h(order, q))
+            total += mult * (rank_k(order, q) - finitek.rank_H_BM(order, q))
     return total
 
 

@@ -11,10 +11,7 @@ of the sl poset at m = 10^4, p = 1.
 
 import importlib
 import json
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -23,6 +20,7 @@ import pytest
 from hilbertmod import cli
 
 from test_many_divisors import many_divisor_orders, many_divisor_spec
+from test_process_exit import cold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,9 +167,7 @@ def test_ledger_argv_answers_within_5_s(make_argv):
     """The argv as a shell would start it: a fresh ``python -S -m hilbertmod.cli``."""
     argv = make_argv()
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-S", "-m", "hilbertmod.cli", *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    proc = cold("-m", "hilbertmod.cli", *argv)
     elapsed = time.monotonic() - start
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr[:300]
     assert elapsed < 5.0, elapsed

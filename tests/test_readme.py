@@ -2,16 +2,14 @@
 
 import contextlib
 import io
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 from hilbertmod import cli
 
 from test_cli import _exit_and_output
+from test_process_exit import cold
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -59,17 +57,14 @@ def test_main_module_matches_in_process_main(capsys, monkeypatch):
               ["whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1"],
               ["bogus"], ["-h"]]
     monkeypatch.setenv("COLUMNS", "80")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    command = [sys.executable, "-S", "-m", "hilbertmod.cli"]
     for argv in argvs:
         expected = _exit_and_output(capsys, *argv)
-        proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=env)
+        proc = cold("-m", "hilbertmod.cli", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
     for argv in (["field", "5"], ["field", "4"]):
         with contextlib.redirect_stdout(None):
             code, _, err = _exit_and_output(capsys, *argv)
-        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command, *argv],
-                              stderr=subprocess.PIPE, text=True, env=env)
+        proc = cold("-m", "hilbertmod.cli", *argv, redirection=">&-")
         assert (proc.returncode, proc.stderr) == (code, err), argv
 
 
