@@ -4,9 +4,10 @@
 tests start real processes, all through ``cold``.  One table gives the exit
 status of each failed or closed stream, the same buffered or not: 141 when
 stdout's reader has gone, 120 when stdout cannot take the answer or
-``-h``, else ``main``'s status.  An ``atexit`` hook still runs; a profiler
-or a running thread keeps the interpreter's normal exit, and without them
-no teardown runs at all.
+``-h``, else ``main``'s status; two more tests run the pipe row for every
+kind of answer and the closed-stderr rows for every error status.  An
+``atexit`` hook still runs; a profiler or a running thread keeps the
+interpreter's normal exit, and without them no teardown runs at all.
 """
 
 import os
@@ -88,6 +89,35 @@ def test_exit_status_per_stream(condition, argv, status, unbuffered):
     if status == 120:
         assert proc.stderr.startswith("error: cannot write to stdout: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["field", "5"], ["field", "5", "--json"], ["-h"]])
+def test_closed_stdout_pipe_exits_141_and_prints_nothing(argv, unbuffered):
+    """The table's pipe row for each way an answer reaches stdout: text,
+    ``--json`` and argparse's help."""
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = cold("-m", "hilbertmod.cli", *argv, unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("redirection", ["2>&-", "2</dev/null"])
+@pytest.mark.parametrize("argv, code", [
+    (["field", "4"], 2), (["bogus"], 2), (["ranks", "7", "--q", "1"], 3),
+    (["whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1"], 4)])
+def test_closed_stderr_keeps_the_exit_status_and_stdout_empty(argv, code, redirection):
+    """The table's closed-stderr rows for each of main's error statuses,
+    buffered and not.  Closed at start, ``sys.stderr`` is None, where
+    ``print`` and argparse's usage would fall back to stdout; read-only,
+    each write fails (EBADF)."""
+    for unbuffered in ("", "1"):
+        proc = cold("-m", "hilbertmod.cli", *argv, redirection=redirection,
+                    unbuffered=unbuffered)
+        assert (proc.returncode, proc.stdout) == (code, ""), unbuffered
 
 
 def test_atexit_hook_runs_before_the_process_ends():
