@@ -15,13 +15,6 @@ from oracles import (
 )
 
 
-def test_spot_values():
-    assert len(reduced_forms(-3)) == 1
-    assert len(reduced_forms(-4)) == 1
-    assert len(reduced_forms(-23)) == 3
-    assert reduced_forms(-23) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
-
-
 def test_validation():
     for bad in (0, 5, -1, -2, -5, -6):
         assert not is_discriminant(bad)

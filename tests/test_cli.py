@@ -38,8 +38,7 @@ from hilbertmod.finitek import RankCase, rank_K_cyclic, rank_case
 from hilbertmod.quadfield import FieldSpec
 
 from oracles import kp_formula, mult_order, reference_json, rp_formula
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from test_process_exit import cold
 
 
 def run_cli(capsys, *argv):
@@ -263,18 +262,6 @@ allowed orders: 2, 3
 # ranks
 # ---------------------------------------------------------------------------
 
-def test_ranks_builtin_field(capsys):
-    payload = run_json(capsys, "ranks", "5", "--q", "5,7,1,2,0,-1")
-    rows = {row["q"]: row["value"] for row in payload["result"]["rows"]}
-    assert rows == {5: 8, 7: 6, 1: 2, 2: 0, 0: 0, -1: 0}
-    assert payload["result"]["m"] == 6
-    assert payload["provenance"]["class_counts"] == "paper-table"
-    assert payload["provenance"]["rows"] == "computed"
-    # A list starting with a negative degree needs the --q=LIST form.
-    payload = run_json(capsys, "ranks", "5", "--q=-1,7")
-    assert [(row["q"], row["value"]) for row in payload["result"]["rows"]] == [(-1, 0), (7, 6)]
-
-
 def test_ranks_evaluates_rank_diff_once_per_row_of_the_rank_table(capsys, monkeypatch):
     # rank_diff depends on q only through its row, so a long degree list
     # costs six evaluations at most, and every row still reads rank_diff's value
@@ -369,19 +356,6 @@ def test_short_class_spec_messages_keep_their_bytes(capsys):
 # ---------------------------------------------------------------------------
 # whitehead
 # ---------------------------------------------------------------------------
-
-def test_whitehead_psl_golden(capsys):
-    payload = run_json(capsys, "whitehead", "5", "--mode", "psl", "--q", "1")
-    assert payload["result"]["whitehead"]["render"] == "Z^2"
-
-
-def test_whitehead_generic_modular(capsys):
-    payload = run_json(capsys, "whitehead", "--classes", "2:1,3:1",
-                       "--mode", "sl", "--q", "1", "--ab", "Z/6")
-    wh = payload["result"]["whitehead"]
-    assert wh["free_rank"] == 0
-    assert wh["torsion"] == [2, 6]
-
 
 def test_whitehead_missing_abelianization(capsys):
     code, _, err = run_cli(capsys, "whitehead", "--classes", "2:2,3:2",
@@ -748,10 +722,8 @@ print(json.dumps(widths), file=sys.stderr)
 
 
 def _help_widths(stdout):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("COLUMNS", None)
-    proc = subprocess.run([sys.executable, "-c", HELP_WIDTH_CHILD], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, check=True)
+    proc = cold("-c", HELP_WIDTH_CHILD, stdout=stdout)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr)
 
 
@@ -813,13 +785,38 @@ def test_a_parser_for_one_command_registers_it_alone_with_the_full_usage(monkeyp
         assert subs[command].format_usage() == full_subs[command].format_usage(), columns
 
 
+# argparse accepts any unambiguous prefix of a long option: (abbreviated argv,
+# the same argv with each option in full)
+ABBREVIATED = [(abbreviated.split(), full.split()) for abbreviated, full in [
+    ("ranks 5 --q 1 --js", "ranks 5 --q 1 --json"),
+    ("ranks --cl 2:1 --q 1", "ranks --classes 2:1 --q 1"),
+    ("whitehead 5 --mo sl --q 1", "whitehead 5 --mode sl --q 1"),
+    ("whitehead --classes 2:1,3:1 --mode sl --q 1 --a Z/6",
+     "whitehead --classes 2:1,3:1 --mode sl --q 1 --ab Z/6"),
+    ("field 5 --ap", "field 5 --approx"),
+    ("chains --po sl --m 2 --p 1", "chains --poset sl --m 2 --p 1"),
+    ("reps 5 --he", "reps 5 --help"),
+    ("--he", "--help"),
+]]
+
+
+@pytest.mark.parametrize("abbreviated, full", ABBREVIATED,
+                         ids=[" ".join(abbreviated) for abbreviated, _ in ABBREVIATED])
+def test_an_option_prefix_answers_as_the_full_option(capsys, monkeypatch, abbreviated, full):
+    monkeypatch.setenv("COLUMNS", "80")
+    answer = _exit_and_output(capsys, *abbreviated)
+    assert answer[0] == EXIT_OK, answer
+    assert answer == _exit_and_output(capsys, *full)
+
+
 # main builds one sub-parser when the first argument names it, else all six;
 # tools/identity.py replays these argv too
 EDGE_ARGV = [[], ["-h"], ["-h", "ranks"], ["ranks", "-h"], ["--", "ranks", "5", "--q", "1"],
              ["-"], ["-", "ranks"], ["-5", "ranks"], ["--json"],
              ["--json", "ranks", "5", "--q", "1"], ["bogus"], ["--he", "ranks"],
              ["ranks", "5", "--q", "1", "extra"], ["ranks"], ["field", "5", "ranks"],
-             ["ranks", "--", "5", "--q", "1"], ["reps", "-h", "extra"]]
+             ["ranks", "--", "5", "--q", "1"], ["reps", "-h", "extra"],
+             *(abbreviated for abbreviated, _ in ABBREVIATED)]
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV, ids=[" ".join(argv) or "no-arguments"
@@ -1240,6 +1237,9 @@ Wh_-1 of PSL2(O_k), k = generic: Z^4 + 2*K-1tors(Z_12) + 2*K-1tors(Z_2) + 2*K-1t
 """,
     ("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1", "--ab", "Z^2 + 3*Z/2"): """\
 Wh_1 of SL2(O_k), k = generic: Z^2 + 4*Z/2
+""",
+    ("whitehead", "--classes", "2:1,3:1", "--mode", "sl", "--q", "1", "--ab", "Z/6"): """\
+Wh_1 of SL2(O_k), k = generic: Z/2 + Z/6
 """,
     ("reps", "1"): """\
 Z_1: r=1 c=0 q=1

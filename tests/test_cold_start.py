@@ -14,12 +14,7 @@ a ``Fraction``) or ``json`` (only ``--json`` serializes: ``canonical_json``
 imports its writer, ``hilbertmod._json``, and with it json, on first use).
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from test_process_exit import cold
 
 NOT_LOADED = ("dataclasses", "inspect", "typing", "ast", "json")
 LOADED = ("hilbertmod.quadfield", "hilbertmod.cyclicreps", "hilbertmod.finitek",
@@ -30,8 +25,8 @@ LOADED = ("hilbertmod.quadfield", "hilbertmod.cyclicreps", "hilbertmod.finitek",
 def test_cli_import_loads_no_heavy_module_and_every_pipeline_module():
     names = NOT_LOADED + LOADED
     code = f"import hilbertmod.cli, sys; print(*[n in sys.modules for n in {names!r}])"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    proc = cold("-c", code)
+    assert proc.returncode == 0, proc.stderr
     loaded = dict(zip(names, proc.stdout.split()))
     assert [n for n in NOT_LOADED if loaded[n] == "True"] == []
     assert [n for n in LOADED if loaded[n] != "True"] == []
@@ -72,8 +67,8 @@ def test_commands_load_neither_shutil_nor_fractions():
         "print(codes, loaded, after_json)\n"
         "main(['field', '5'])\n"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    proc = cold("-c", code)
+    assert proc.returncode == 0, proc.stderr
     summary, _, field = proc.stdout.partition("\n")
     assert summary == "[0, 0, 0, 0, 0, 0, 0] [] ['json']"
     assert field == FIELD_5

@@ -87,23 +87,6 @@ def test_local_subgroup_is_a_subgroup():
             assert all(a * b % n in h for a in h for b in h)
 
 
-def test_rep_counts_aggregate():
-    rc = rep_counts(5)
-    assert (rc.r, rc.c, rc.q) == (3, 2, 2)
-    assert rc.local == ((5, 2, 1),)
-    rc2 = rep_counts(2)
-    assert (rc2.r, rc2.c, rc2.q) == (2, 0, 2)
-    assert rc2.local == ((2, 2, 1),)
-    rc1 = rep_counts(1)
-    assert (rc1.r, rc1.c, rc1.q) == (1, 0, 1)
-    assert rc1.local == ()
-    # per-prime table covers exactly the primes dividing n
-    for n in (12, 30, 49):
-        assert tuple(p for p, _, _ in rep_counts(n).local) == prime_divisors(n)
-        for p, kp, rp in rep_counts(n).local:
-            assert kp >= rp
-
-
 def test_rep_counts_reads_the_separate_counts_off_one_factorization():
     # rep_counts factors n once; the rank rows rely on it giving exactly
     # what the separate per-prime counts give.

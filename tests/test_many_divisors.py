@@ -11,19 +11,17 @@ argument that a shell can pass; to print it:
 The ledger of tests/test_caps.py runs ``ranks --classes`` on this spec at
 10^4 degrees as a cold process, within 5 s, and checks its q = -1 value;
 ``test_ranks_q_minus_1_on_many_divisors_in_bounded_time`` runs the q = -1
-row alone through ``main`` in process.
+row alone through ``main`` in process, under ``test_cli.within_5_s``.
 """
 
-import json
 import random
-import time
 from functools import cache
 from math import prod
 
-from hilbertmod.cli import EXIT_OK, main
 from hilbertmod.cyclicreps import rep_counts
 
 from oracles import rp_burnside
+from test_cli import run_json, within_5_s
 
 SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -61,14 +59,8 @@ def test_the_spec_is_one_shell_argument():
 
 
 def test_ranks_q_minus_1_on_many_divisors_in_bounded_time(capsys):
-    spec = many_divisor_spec()
-    start = time.monotonic()
-    code = main(["ranks", "--classes", spec, "--q=-1", "--json"])
-    elapsed = time.monotonic() - start
-    captured = capsys.readouterr()
-    assert code == EXIT_OK, captured.err
-    assert elapsed < 5.0, elapsed
-    assert [row["value"] for row in json.loads(captured.out)["result"]["rows"]] == [169532890]
+    payload = within_5_s(run_json, capsys, "ranks", "--classes", many_divisor_spec(), "--q=-1")
+    assert [row["value"] for row in payload["result"]["rows"]] == [169532890]
 
 
 def test_local_counts_against_burnside():

@@ -105,16 +105,6 @@ def test_empty_poset():
         enumerate_pchains(empty, -1)
 
 
-def test_deterministic_lexicographic_order():
-    poset = psl_poset(3)
-    once = enumerate_pchains(poset, 0)
-    again = enumerate_pchains(poset, 0)
-    assert once == again == [("G/1",), ("G/M1",), ("G/M2",), ("G/M3",)]
-    assert enumerate_pchains(poset, 1) == [
-        ("G/1", "G/M1"), ("G/1", "G/M2"), ("G/1", "G/M3")
-    ]
-
-
 def test_chains_are_increasing():
     poset = sl_poset(4)
     for p in range(3):
@@ -269,6 +259,7 @@ def test_page_repr_does_not_depend_on_the_hash_seed():
             "    page = build_E1(factory(counts), relative, counts)\n"
             "    print(repr(page), [[t.order for t in c] for c in page.values()])\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
+    # its own runner: PYTHONHASHSEED must be set before the interpreter starts; cold takes no env
     outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
                               check=True).stdout
@@ -295,19 +286,6 @@ def test_column_ranks_d5():
         assert rank_E1_column(page, 1, q) == 0
     # empty columns have rank zero
     assert rank_E1_column(page, 3, 5) == 0
-
-
-def test_column_subtraction_reproduces_rank_diff():
-    rng = random.Random(5551212)
-    for _ in range(60):
-        orders = sorted(rng.sample([2, 3, 4, 5, 6], rng.randint(1, 5)))
-        counts = ClassCounts(tuple((n, rng.randint(1, 4)) for n in orders))
-        g = GroupData(source="random", class_counts=counts, mode=Mode.PSL)
-        page = build_E1(psl_poset(counts), relative_to_trivial=False,
-                        class_counts=counts)
-        for q in range(-3, 22):
-            delta = rank_E1_column(page, 0, q) - rank_E1_column(page, 1, q)
-            assert delta == rank_diff(g, q), (counts, q)
 
 
 def test_three_rank_routes_agree_on_the_degree_table_sources():

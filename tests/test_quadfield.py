@@ -259,28 +259,6 @@ def test_predicates_agree_with_basis_and_sign_oracles():
 # The candidate census
 # ---------------------------------------------------------------------------
 
-def test_census_golden_d5():
-    assert _orders(5) == {
-        (0, 0): 2,
-        (2, 0): 3,
-        (-2, 0): 3,
-        (1, 1): 5,
-        (1, -1): 5,
-        (-1, 1): 5,
-        (-1, -1): 5,
-    }
-
-
-def test_census_golden_d2_d3_d7():
-    got2 = _orders(2)
-    assert got2[(0, 2)] == 4
-    assert got2[(0, -2)] == 4
-    assert allowed_orders(FieldSpec(2)) == (2, 3, 4)
-    assert allowed_orders(FieldSpec(3)) == (2, 3, 6)
-    assert set(_orders(7)) == {(0, 0), (2, 0), (-2, 0)}
-    assert allowed_orders(FieldSpec(7)) == (2, 3)
-
-
 def test_census_complete_against_wide_box_scan():
     # The production loop bounds must not miss anything a wide scan finds.
     for d in SQUARE_FREE_D + [10007, 999983, 999999999989]:
