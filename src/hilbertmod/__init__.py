@@ -29,6 +29,7 @@ from .cyclicreps import RepCounts, c_count, kp_count, q_count, r_count, rep_coun
 from .finitek import RankCase, rank_H_BM, rank_K_cyclic, wh_cyclic
 from .pchain import (
     OrbitPoset,
+    SubgroupPoset,
     build_E1,
     enumerate_pchains,
     psl_poset,

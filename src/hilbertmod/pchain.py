@@ -34,10 +34,8 @@ from .assembler import ClassCounts
 
 __all__ = [
     "MAX_CLASSES",
-    "PropertyMViolationError",
-    "NodeKind",
-    "NodeTag",
     "OrbitPoset",
+    "SubgroupPoset",
     "TokenKind",
     "CoeffToken",
     "enumerate_pchains",
@@ -50,24 +48,6 @@ __all__ = [
 MAX_CLASSES = 10**4  # maximal conjugacy classes in one orbit poset
 
 
-class PropertyMViolationError(Exception):
-    """A maximal node lies strictly below another node."""
-
-
-class NodeKind(Enum):
-    TRIVIAL = "trivial"
-    CENTRAL = "central"
-    MAXIMAL = "maximal"
-
-
-class NodeTag(Record):
-    __slots__ = ("kind", "order")  # order: cyclic order of the subgroup for MAXIMAL
-
-    def __init__(self, kind: NodeKind, order: int | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", order)
-
-
 class OrbitPoset:
     """Isomorphism classes of orbits with their strict order relation.
 
@@ -75,11 +55,11 @@ class OrbitPoset:
     poset.  The order is stored as per-node up-sets (the nodes strictly
     above each node), closed on construction by a depth-first search along
     the generating pairs, so the star-shaped orbit posets cost O(m).
-    Cycles are rejected.  ``tags`` (label -> :class:`NodeTag`) are optional
-    for pure chain enumeration but required by :func:`build_E1`.
+    Cycles are rejected.  Any such poset has p-chains; a first page needs
+    the orbit poset of the group itself, a :class:`SubgroupPoset`.
     """
 
-    def __init__(self, nodes, less, tags=None):
+    def __init__(self, nodes, less):
         self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node labels")
@@ -102,13 +82,38 @@ class OrbitPoset:
             if v in above:
                 raise ValueError("relation has a cycle; not a strict partial order")
             self._above[v] = above
-        self.tags = dict(tags or {})
 
     def lt(self, a: str, b: str) -> bool:
         return b in self._above[a]
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+class SubgroupPoset(OrbitPoset):
+    """The orbit poset of the projective or non-projective group.
+
+    For a group with properties (M) and (NM) it always has one shape: the
+    bottom ``chain`` G/1, or G/1 < G/{+-I}, below one node G/Mi per
+    conjugacy class of maximal finite subgroups.  ``orders`` holds the
+    cyclic orders of those classes in node order, each ``None`` when the
+    poset was built from a bare count m.  Only :func:`psl_poset` and
+    :func:`sl_poset` build one.
+    """
+
+    def __init__(self, class_counts_or_m, chain: tuple[str, ...]) -> None:
+        counted = isinstance(class_counts_or_m, ClassCounts)
+        m = class_counts_or_m.m if counted else int(class_counts_or_m)
+        if m < 0:
+            raise ValueError("number of maximal classes must be nonnegative")
+        if m > MAX_CLASSES:
+            raise ValueError(f"number of maximal classes must be at most 10^4, got {m}")
+        self.chain = chain
+        self.orders = (tuple(n for n, count in class_counts_or_m.entries for _ in range(count))
+                       if counted else (None,) * m)
+        maximal = [f"G/M{i}" for i in range(1, m + 1)]
+        super().__init__([*chain, *maximal],
+                         [*zip(chain, chain[1:]), *((chain[-1], v) for v in maximal)])
 
 
 def enumerate_pchains(poset: OrbitPoset, p: int) -> list[tuple[str, ...]]:
@@ -155,70 +160,48 @@ class CoeffToken(Record):
         object.__setattr__(self, "order", order)
 
 
-def _tag_of(poset: OrbitPoset, label: str) -> NodeTag:
-    tag = poset.tags.get(label)
-    if tag is None:
-        raise ValueError(f"node {label!r} carries no subgroup tag; "
-                         f"build the poset with tags to assemble a page")
-    return tag
-
-
 def build_E1(
-    poset: OrbitPoset,
+    poset: SubgroupPoset,
     relative_to_trivial: bool,
     class_counts: ClassCounts | None = None,
 ) -> dict[int, Counter]:
-    """Assemble the symbolic first page over a tagged orbit poset.
+    """Assemble the symbolic first page over the orbit poset of the group.
 
     The page maps each nonempty column p to a Counter of tokens.  Its d1 comes
     from rationally injective assembly maps, so ranks are column differences.
 
-    The poset needs one trivial node with nothing below it, at most one
-    central node, and nothing above a maximal node (property (M)).
-    ``relative_to_trivial`` selects the pair against the trivial family:
-    chains whose least element is the trivial orbit are dropped, a central
-    node takes over the bottom role, and without one the maximal 0-chains
-    carry Wh tokens.  ``class_counts``, when given, is cross-checked
-    against the poset's maximal nodes.
+    The poset is the one :func:`psl_poset` or :func:`sl_poset` builds; a
+    count-only poset gives tokens without orders, which
+    :func:`rank_E1_column` refuses.  ``relative_to_trivial`` selects the
+    pair against the trivial family: chains whose least element is G/1 are
+    dropped, G/{+-I} takes over the bottom role, and without it the
+    maximal 0-chains carry Wh tokens.  The absolute page over the SL poset
+    is refused.  ``class_counts``, when given, is cross-checked against the
+    poset's maximal orders.
     """
-    above, index = poset._above, poset._index
-    tags = {v: _tag_of(poset, v) for v in poset.nodes}
-    by_kind = {kind: [] for kind in NodeKind}
-    for v, tag in tags.items():
-        by_kind[tag.kind].append(v)
-    for v in by_kind[NodeKind.MAXIMAL]:
-        if above[v]:
-            w = min(above[v], key=index.get)  # the first such node in poset order
-            raise PropertyMViolationError(
-                f"maximal node {v!r} lies below {w!r}; property (M) fails")
-    if class_counts is not None and (Counter(tags[v].order for v in by_kind[NodeKind.MAXIMAL])
-                                     != Counter(dict(class_counts.entries))):
+    if not isinstance(poset, SubgroupPoset):
+        raise ValueError("a first page needs the orbit poset that psl_poset or sl_poset builds")
+    chain = poset.chain
+    if class_counts is not None and Counter(poset.orders) != Counter(dict(class_counts.entries)):
         raise ValueError("poset maximal nodes do not match the class counts")
-    trivial, central = by_kind[NodeKind.TRIVIAL], by_kind[NodeKind.CENTRAL]
-    if (len(trivial) != 1 or len(central) > 1
-            or any(trivial[0] in up for up in above.values())):
-        raise ValueError("a first page needs exactly one trivial node, with nothing "
-                         "below it, and at most one central node")
-    if central and not relative_to_trivial:
-        raise ValueError(
-            "absolute page over a poset with a central node is not supported; "
-            "use the relative page, which matches the projective absolute page"
-        )
+    if len(chain) > 1 and not relative_to_trivial:
+        raise ValueError("absolute page over a poset with a central node is not supported; "
+                         "use the relative page, which matches the projective absolute page")
 
-    # With this shape a chain runs trivial < central < maximal with steps
-    # left out, so every 2-chain starts at the trivial node: the absolute
-    # page (no central node) has none and the relative page drops them.
-    # Column 0 reads the nodes, column 1 the pairs v < w of their up-sets,
-    # each in enumerate_pchains' order: by ascending node positions.
-    bottom = trivial[0]
-    kept = [v for v in poset.nodes if not (relative_to_trivial and v == bottom)]
-    if relative_to_trivial:
-        bottom = central[0] if central else None
-    kind = TokenKind.WHITEHEAD if bottom is None else TokenKind.K_GROUP_RING
+    # A chain runs G/1 < G/{+-I} < G/Mi with steps left out, so every
+    # 2-chain starts at G/1: the absolute page (PSL poset only) has none
+    # and the relative page drops them.  Column 0 reads the kept nodes,
+    # column 1 the pairs v < w of their up-sets, each in enumerate_pchains'
+    # order: by ascending node positions.
+    above, index = poset._above, poset._index
+    order = dict(zip(poset.nodes[len(chain):], poset.orders))
+    drop = 1 if relative_to_trivial else 0  # the relative page drops G/1
+    kept, bottom = poset.nodes[drop:], chain[drop:drop + 1]  # bottom: () or one label
+    kind = TokenKind.K_GROUP_RING if bottom else TokenKind.WHITEHEAD
     pairs = sorted((sorted((index[v], index[w])), w) for v in kept for w in above[v])
-    columns = (Counter(CoeffToken(TokenKind.H_BG) if v == bottom
-                       else CoeffToken(kind, tags[v].order) for v in kept),
-               Counter(CoeffToken(TokenKind.H_BM, tags[w].order) for _, w in pairs))
+    columns = (Counter(CoeffToken(TokenKind.H_BG) if v in bottom
+                       else CoeffToken(kind, order[v]) for v in kept),
+               Counter(CoeffToken(TokenKind.H_BM, order[w]) for _, w in pairs))
     return {p: column for p, column in enumerate(columns) if column}
 
 
@@ -248,36 +231,15 @@ def rank_E1_column(page: dict[int, Counter], p: int, q: int,
     return total
 
 
-def _maximal_labels(class_counts_or_m) -> list[tuple[str, int | None]]:
-    counted = isinstance(class_counts_or_m, ClassCounts)
-    m = class_counts_or_m.m if counted else int(class_counts_or_m)
-    if m < 0:
-        raise ValueError("number of maximal classes must be nonnegative")
-    if m > MAX_CLASSES:
-        raise ValueError(f"number of maximal classes must be at most 10^4, got {m}")
-    orders = ([n for n, count in class_counts_or_m.entries for _ in range(count)]
-              if counted else [None] * m)
-    return [(f"G/M{i}", n) for i, n in enumerate(orders, 1)]
-
-
-def _poset(class_counts_or_m, chain: tuple[str, ...]) -> OrbitPoset:
-    """The trivial node, then the central one if given, under every maximal node."""
-    maximal = _maximal_labels(class_counts_or_m)
-    less = [*zip(chain, chain[1:]), *((chain[-1], lab) for lab, _ in maximal)]
-    tags = {v: NodeTag(kind) for v, kind in zip(chain, (NodeKind.TRIVIAL, NodeKind.CENTRAL))}
-    tags.update({lab: NodeTag(NodeKind.MAXIMAL, order) for lab, order in maximal})
-    return OrbitPoset([*chain, *(lab for lab, _ in maximal)], less, tags)
-
-
-def psl_poset(class_counts_or_m) -> OrbitPoset:
+def psl_poset(class_counts_or_m) -> SubgroupPoset:
     """Orbit poset of the projective group: G/1 below m maximal nodes.
 
-    Accepts either :class:`ClassCounts` (nodes tagged with their orders)
-    or a bare count m (untagged maximal orders, enough for chain counting).
+    Accepts either :class:`ClassCounts` (nodes with their orders) or a bare
+    count m (orders ``None``, enough for chain counting).
     """
-    return _poset(class_counts_or_m, ("G/1",))
+    return SubgroupPoset(class_counts_or_m, ("G/1",))
 
 
-def sl_poset(class_counts_or_m) -> OrbitPoset:
+def sl_poset(class_counts_or_m) -> SubgroupPoset:
     """Orbit poset of the non-projective group: G/1 < G/{+-I} < each maximal."""
-    return _poset(class_counts_or_m, ("G/1", "G/{+-I}"))
+    return SubgroupPoset(class_counts_or_m, ("G/1", "G/{+-I}"))

@@ -280,25 +280,26 @@ def permutation_pchains(poset, p: int) -> list[tuple]:
 
 
 def reference_page(poset, relative_to_trivial: bool) -> dict:
-    """First-page columns (p -> Counter of tokens) of a tagged orbit poset,
-    from the subset-scan chains: on the relative page every chain whose
-    least node is trivial is dropped and a central node, if any, becomes
-    the bottom.  Only 0- and 1-chains may survive."""
+    """First-page columns (p -> Counter of tokens) of the orbit poset that
+    ``psl_poset`` or ``sl_poset`` builds, from the subset-scan chains: on the
+    relative page every chain whose least node is G/1 is dropped and
+    G/{+-I}, if any, becomes the bottom.  Only 0- and 1-chains may survive."""
     # imported here: perfbench loads this module once, then re-imports the
     # package afresh per set-up, and a module-level import would pin a copy
-    from hilbertmod.pchain import CoeffToken, NodeKind, TokenKind
+    from hilbertmod.pchain import CoeffToken, TokenKind
 
-    kinds = {v: poset.tags[v].kind for v in poset.nodes}
-    bottom = next(v for v in poset.nodes if kinds[v] is NodeKind.TRIVIAL)
+    trivial = poset.chain[0]
+    bottom = trivial
     if relative_to_trivial:
-        bottom = next((v for v in poset.nodes if kinds[v] is NodeKind.CENTRAL), None)
+        bottom = poset.chain[1] if len(poset.chain) > 1 else None
+    orders = dict(zip(poset.nodes[len(poset.chain):], poset.orders))
     columns = {}
     for p in range(len(poset.nodes)):
         for chain in naive_pchains(poset, p):
-            if relative_to_trivial and kinds[chain[0]] is NodeKind.TRIVIAL:
+            if relative_to_trivial and chain[0] == trivial:
                 continue
             assert p <= 1, chain
-            order = poset.tags[chain[-1]].order
+            order = orders.get(chain[-1])
             if p == 1:
                 token = CoeffToken(TokenKind.H_BM, order)
             elif chain[0] == bottom:

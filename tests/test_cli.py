@@ -414,6 +414,35 @@ def test_ab_free_rank_up_to_its_cap(capsys):
         assert out == f"Wh_1 of SL2(O_k), k = generic: {AbGroupExpr.parse(ab)} + Z/2\n", ab
 
 
+def test_relations_between_ranks_and_whitehead_answers(capsys):
+    # relations that hold by the formulas in assembler and finitek, where no
+    # oracle pins a value, over a fixed sample of class specs (orders < 3000)
+    rng = random.Random(4181)
+    degrees = "--q=-2,-1,0,1,2,3,4,5,6,7"  # every row of the rank table
+
+    def ranks(counts):
+        spec = ",".join(f"{n}:{c}" for n, c in counts.items())
+        rows = run_json(capsys, "ranks", "--classes", spec, degrees)["result"]["rows"]
+        return {row["q"]: row["value"] for row in rows}
+
+    def whitehead(counts, *argv):
+        spec = ",".join(f"{n}:{c}" for n, c in counts.items())
+        return run_json(capsys, "whitehead", "--classes", spec, *argv)["result"]["whitehead"]
+
+    for _ in range(50):
+        counts = {n: rng.randint(1, 5) for n in sorted(rng.sample(range(2, 3000), rng.randint(1, 4)))}
+        row = ranks(counts)
+        # rank_H_BM is 0 at q = 1 and q = -1, so Wh's free rank is the ranks value
+        for q in (1, -1):
+            assert whitehead(counts, f"--q={q}")["free_rank"] == row[q], (counts, q)
+        psl, sl = whitehead(counts, "--q", "0"), whitehead(counts, "--mode", "sl", "--q", "0")
+        assert sl["free_rank"] == psl["free_rank"] + 1, counts
+        assert (sl["torsion"], sl["symbolic"]) == (psl["torsion"], psl["symbolic"]), counts
+        k = rng.randint(2, 4)
+        assert ranks({n: k * c for n, c in counts.items()}) == {q: k * v for q, v in row.items()}
+        assert row[0] == 0, counts
+
+
 # ---------------------------------------------------------------------------
 # reps / classnum / chains
 # ---------------------------------------------------------------------------

@@ -19,10 +19,7 @@ from hilbertmod.assembler import (
 )
 from hilbertmod.pchain import (
     CoeffToken,
-    NodeKind,
-    NodeTag,
     OrbitPoset,
-    PropertyMViolationError,
     TokenKind,
     build_E1,
     enumerate_pchains,
@@ -194,49 +191,21 @@ def test_relative_sl_page_equals_absolute_psl_page():
 
 
 def test_build_E1_guards():
-    tagged = psl_poset(D5_COUNTS)
+    counted = psl_poset(D5_COUNTS)
     with pytest.raises(ValueError):
-        build_E1(tagged, False, class_counts=ClassCounts.parse("2:1"))
-    untagged = OrbitPoset(["a", "b"], [("a", "b")])
-    with pytest.raises(ValueError):
-        build_E1(untagged, False)
+        build_E1(counted, False, class_counts=ClassCounts.parse("2:1"))
+    with pytest.raises(ValueError, match="psl_poset or sl_poset"):
+        build_E1(OrbitPoset(["G/1", "G/M1"], [("G/1", "G/M1")]), False)
     with pytest.raises(ValueError):
         build_E1(sl_poset(D5_COUNTS), relative_to_trivial=False,
                  class_counts=D5_COUNTS)
-
-
-def _tagged(kinds, less):
-    tags = {v: NodeTag(kind, 2 if kind is NodeKind.MAXIMAL else None)
-            for v, kind in kinds.items()}
-    return OrbitPoset(list(kinds), less, tags)
-
-
-def test_build_E1_shape_check():
-    T, C, M = NodeKind.TRIVIAL, NodeKind.CENTRAL, NodeKind.MAXIMAL
-    no_trivial = _tagged({"G/{+-I}": C, "G/M1": M}, [("G/{+-I}", "G/M1")])
-    two_trivial = _tagged({"G/1": T, "G/1'": T, "G/M1": M},
-                          [("G/1", "G/M1"), ("G/1'", "G/M1")])
-    two_central = _tagged({"G/1": T, "C1": C, "C2": C, "G/M1": M},
-                          [("G/1", "C1"), ("G/1", "C2"), ("C1", "G/M1"), ("C2", "G/M1")])
-    trivial_above_central = _tagged({"G/{+-I}": C, "G/1": T, "G/M1": M},
-                                    [("G/{+-I}", "G/1"), ("G/1", "G/M1")])
-    for poset in (no_trivial, two_trivial, two_central, trivial_above_central):
-        for relative in (False, True):
-            with pytest.raises(ValueError, match="exactly one trivial node"):
-                build_E1(poset, relative_to_trivial=relative)
-
-
-def test_property_m_violation():
-    # a maximal node strictly below another maximal node
-    nodes = ["G/1", "G/M1", "G/M2"]
-    less = [("G/1", "G/M1"), ("G/M1", "G/M2")]
-    tags = {
-        "G/1": NodeTag(NodeKind.TRIVIAL),
-        "G/M1": NodeTag(NodeKind.MAXIMAL, 2),
-        "G/M2": NodeTag(NodeKind.MAXIMAL, 3),
-    }
-    with pytest.raises(PropertyMViolationError):
-        build_E1(OrbitPoset(nodes, less, tags), relative_to_trivial=False)
+    # a count-only poset gives a page whose tokens carry no order, which ranks refuse
+    count_only = build_E1(psl_poset(3), False)
+    assert _token_counts(count_only, 0) == {(TokenKind.H_BG, None): 1,
+                                            (TokenKind.K_GROUP_RING, None): 3}
+    assert _token_counts(count_only, 1) == {(TokenKind.H_BM, None): 3}
+    with pytest.raises(ValueError, match="carries no subgroup order"):
+        rank_E1_column(count_only, 0, 1)
 
 
 def test_pages_match_the_chains_of_the_subset_scan():

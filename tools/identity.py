@@ -15,7 +15,13 @@ The corpus:
   library rank routes, recorded as value lists;
 * both library rank routes at ``ROW_DEGREES``, one degree per row of the
   rank table, on each group source those route requests use (the five of
-  ``degree_table``), since its sampled degree lists need not hold 0 or 1.
+  ``degree_table``), since its sampled degree lists need not hold 0 or 1;
+  and on the same sources the two relative first pages, over ``psl_poset``
+  and over ``sl_poset``, as their columns and column ranks at
+  ``ROW_DEGREES``, so that each of the three pages ``build_E1`` builds is
+  covered.
+
+That is 2,742 items.
 
 Each argv runs in process through ``hilbertmod.cli.main`` at COLUMNS=80,
 and its exit code, stdout and stderr are hashed.  One SHA-256 is printed per
@@ -50,11 +56,13 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("field", "ranks", "whitehead", "reps", "classnum", "chains")
 WORKLOADS = ("census_sweep", "degree_table", "heavy_inputs")
 ROW_DEGREES = [-2, -1, 0, 1, 5, 7]  # one degree per row of the rank table
+RELATIVE_PAGES = {"psl_relative": "psl_poset", "sl_relative": "sl_poset"}  # kind -> builder
 
 
 def corpus() -> list:
     """The items ``[kind, payload]``: kind "cli" with an argv, or a library
-    route "case_table" or "e1" with its ``[d, classes, qs]``."""
+    route "case_table", "e1" or one of ``RELATIVE_PAGES`` with its
+    ``[d, classes, qs]``."""
     import test_cli
     import test_cli_fuzz as fuzz
     import test_readme
@@ -79,8 +87,26 @@ def corpus() -> list:
                 items.append([kind, list(payload)])
     routes = [payload for kind, payload in items if kind != "cli"]
     for d, classes in dict.fromkeys((d, classes) for d, classes, _ in routes):
-        items += [[route, [d, classes, ROW_DEGREES]] for route in ("case_table", "e1")]
+        items += [[route, [d, classes, ROW_DEGREES]]
+                  for route in ("case_table", "e1", *RELATIVE_PAGES)]
     return items
+
+
+def relative_page(kind: str, d, classes, qs) -> list:
+    """The relative first page over the poset ``kind`` names: each column
+    as ``[p, [[token kind, order, multiplicity], ...]]``, then each
+    column's rank at every degree of ``qs``."""
+    from hilbertmod import pchain
+    from hilbertmod.assembler import ClassCounts, class_counts_for_field
+    from hilbertmod.quadfield import FieldSpec
+
+    counts = (ClassCounts.parse(classes) if classes is not None
+              else class_counts_for_field(FieldSpec(d)))
+    poset = getattr(pchain, RELATIVE_PAGES[kind])(counts)
+    page = pchain.build_E1(poset, relative_to_trivial=True, class_counts=counts)
+    columns = [[p, [[token.kind.value, token.order, mult] for token, mult in column.items()]]
+               for p, column in page.items()]
+    return [columns, [[pchain.rank_E1_column(page, p, q) for p in page] for q in qs]]
 
 
 def group(kind: str, payload) -> str:
@@ -106,7 +132,8 @@ def outcomes(items) -> list:
                 if kind == "cli":
                     code = cli.main(list(payload))
                 else:
-                    print(json.dumps(InProcess._route(kind, *payload)))
+                    route = relative_page if kind in RELATIVE_PAGES else InProcess._route
+                    print(json.dumps(route(kind, *payload)))
                     code = 0
             except SystemExit as exc:  # argparse exits on -h and on a rejected argv
                 code = exc.code
