@@ -420,7 +420,7 @@ def test_relations_between_ranks_and_whitehead_answers(capsys):
     rng = random.Random(4181)
     degrees = "--q=-2,-1,0,1,2,3,4,5,6,7"  # every row of the rank table
 
-    def ranks(counts):
+    def ranks(counts, degrees=degrees):
         spec = ",".join(f"{n}:{c}" for n, c in counts.items())
         rows = run_json(capsys, "ranks", "--classes", spec, degrees)["result"]["rows"]
         return {row["q"]: row["value"] for row in rows}
@@ -441,6 +441,15 @@ def test_relations_between_ranks_and_whitehead_answers(capsys):
         k = rng.randint(2, 4)
         assert ranks({n: k * c for n, c in counts.items()}) == {q: k * v for q, v in row.items()}
         assert row[0] == 0, counts
+        # ranks is additive over disjoint parts of a spec: its orders split
+        # alternately, taken in increasing order (specs of one order skip)
+        orders = list(counts)
+        if len(orders) > 1:
+            parts = [ranks({n: counts[n] for n in orders[i::2]}) for i in (0, 1)]
+            assert {q: parts[0][q] + parts[1][q] for q in row} == row, counts
+        # a degree asked alone gives its row of the full list
+        for q, value in row.items():
+            assert ranks(counts, f"--q={q}") == {q: value}, (counts, q)
 
 
 # ---------------------------------------------------------------------------
